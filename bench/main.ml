@@ -1,8 +1,8 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (§6). Each experiment prints the same rows/series the paper
-   reports, with per-suite and overall means. `--micro` additionally runs
-   Bechamel micro-benchmarks of the simulator primitives (one Test.make per
-   experiment family).
+   reports, with per-suite and overall means. Opt-in sections time the
+   instrumentation layers against their off paths and abort when the two
+   disagree.
 
    Usage:
      dune exec bench/main.exe                  # all experiments
@@ -11,8 +11,16 @@
      dune exec bench/main.exe -- --jobs 4      # 4 worker domains (0 = auto)
      dune exec bench/main.exe -- resilience --faults 100 --seed 3
      dune exec bench/main.exe -- resilience --ci 0.01   # stop at +/-1% SDC CI
-     dune exec bench/main.exe -- --micro       # harness micro-benchmarks
      dune exec bench/main.exe -- --profile     # per-pass spans + pool utilization
+     dune exec bench/main.exe -- explore --grid tiny    # Pareto frontier
+
+   Cost sections (opt-in, except analysis, which the run-all set includes):
+     analysis   check levels Off/Final/PerPass/full re-check, +vuln tables
+     replay     fault campaign from scratch vs snapshot fork vs fork with
+                forensics
+     telemetry  null vs enabled sink on the fig19 simulations and compile
+     halving    successive halving vs exhaustive search on --grid
+     frontend   .tk text path vs the OCaml template builder
 
    Experiment grids — and the per-fault injection campaign — run on the
    turnpike.parallel domain pool; --jobs 1 is strictly sequential and any
@@ -24,6 +32,10 @@ module Scheme = Turnpike.Scheme
 module Run = Turnpike.Run
 module Suite = Turnpike_workloads.Suite
 module Telemetry = Turnpike_telemetry
+module Pool = Turnpike_parallel
+module PP = Turnpike_compiler.Pass_pipeline
+module An = Turnpike_analysis
+module Verifier = Turnpike_resilience.Verifier
 
 let params = ref E.default_params
 let csv_dir : string option ref = ref None
@@ -502,66 +514,12 @@ let run_energy () =
     ts tp
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the harness primitives. *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let bench = List.hd (Suite.find_by_name "libquan") in
-  let compiled =
-    Run.compile_with
-      { Run.default_params with scale = 2; fuel = 100_000 }
-      Scheme.turnpike bench
-  in
-  let machine = Turnpike_arch.Machine.turnpike ~wcdl:10 () in
-  let prog = bench.Suite.build ~scale:1 in
-  let tests =
-    [
-      Test.make ~name:"compile-turnpike" (Staged.stage (fun () ->
-          ignore
-            (Turnpike_compiler.Pass_pipeline.compile
-               ~opts:Turnpike_compiler.Pass_pipeline.turnpike_opts prog)));
-      Test.make ~name:"trace-interp" (Staged.stage (fun () ->
-          ignore (Turnpike_ir.Interp.trace_run ~fuel:20_000 compiled.Run.compiled.Run.Pass_pipeline.prog)));
-      Test.make ~name:"timing-simulate" (Staged.stage (fun () ->
-          ignore (Turnpike_arch.Timing.simulate machine compiled.Run.trace)));
-      Test.make ~name:"cache-access" (Staged.stage (
-          let c = Turnpike_arch.Cache.create ~name:"l1" ~size_bytes:65536 ~assoc:2 ~line_bytes:64 in
-          let i = ref 0 in
-          fun () ->
-            incr i;
-            ignore (Turnpike_arch.Cache.access c ~write:false (!i * 40))));
-      Test.make ~name:"sensor-wcdl" (Staged.stage (fun () ->
-          ignore (Turnpike_arch.Sensor.wcdl
-                    (Turnpike_arch.Sensor.create ~num_sensors:300 ~clock_ghz:2.5 ()))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  Report.section "Bechamel micro-benchmarks (harness primitives)";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "%-32s (no estimate)\n%!" name)
-        results)
-    (List.map (fun t -> Test.make_grouped ~name:"turnpike" [ t ]) tests)
-
-(* ------------------------------------------------------------------ *)
 (* --profile: wall-clock telemetry for the harness itself — per-pass
    compile spans and pool utilization. The Run compile cache memoizes
    compilation, so the pass profile drives [Pass_pipeline.compile]
    directly (a cache hit would emit no spans). *)
 
 let profile () =
-  Telemetry.Clock.set Unix.gettimeofday;
   let scale = (!params).Run.scale in
   Report.section
     (Printf.sprintf "Profile: per-pass compile spans (libquan, turnpike opts, scale %d)"
@@ -570,7 +528,7 @@ let profile () =
   let prog = bench.Suite.build ~scale in
   let opts = Scheme.compile_opts Scheme.turnpike ~sb_size:4 in
   let tel = Telemetry.create () in
-  ignore (Turnpike_compiler.Pass_pipeline.compile ~opts ~tel prog);
+  ignore (PP.compile ~opts ~tel prog);
   let spans =
     List.filter
       (fun (e : Telemetry.event) -> String.equal e.Telemetry.cat "compiler")
@@ -596,62 +554,126 @@ let profile () =
       Report.print_row cols [ e.Telemetry.name; string_of_int dur; deltas ])
     spans;
   Printf.printf "%d pass spans (pipeline declares %d passes)\n" (List.length spans)
-    (List.length (Turnpike_compiler.Pass_pipeline.pass_names opts));
+    (List.length (PP.pass_names opts));
 
   Report.section "Profile: pool utilization (fig19 grid)";
   let pool_tel = Telemetry.create ~capacity:65536 () in
-  Turnpike.Parallel.set_telemetry pool_tel;
+  Pool.set_telemetry pool_tel;
   ignore (E.fig19 ~params:!params ());
-  Turnpike.Parallel.set_telemetry Telemetry.null;
-  (match Turnpike.Parallel.last_map_stats () with
+  Pool.set_telemetry Telemetry.null;
+  (match Pool.last_map_stats () with
   | None -> print_endline "no parallel map ran"
   | Some s ->
     Printf.printf "last map: %d tasks on %d worker(s), wall %d us, utilization %.1f%%\n"
-      s.Turnpike.Parallel.tasks s.Turnpike.Parallel.jobs s.Turnpike.Parallel.wall_us
-      (100. *. Turnpike.Parallel.utilization s);
+      s.Pool.tasks s.Pool.jobs s.Pool.wall_us (100. *. Pool.utilization s);
     Array.iteri
       (fun w busy ->
         Printf.printf "  worker %d: busy %8d us, %3d task(s)\n" w busy
-          s.Turnpike.Parallel.worker_tasks.(w))
-      s.Turnpike.Parallel.busy_us);
+          s.Pool.worker_tasks.(w))
+      s.Pool.busy_us);
   Printf.printf "pool span events recorded: %d (dropped: %d)\n"
     (Telemetry.length pool_tel) (Telemetry.dropped pool_tel)
 
 (* ------------------------------------------------------------------ *)
-(* analysis: wall-clock cost of the static soundness checker at each
-   check level, plus its verdicts. The JSON artifact at the repo root
-   (BENCH_analysis_overhead.json) comes from the sibling
-   analysis_overhead.exe; this table is the interactive view. *)
+(* Cost sections: each one times two or more ways of doing the same work
+   and exits 1 when they disagree on what must not depend on the way. *)
+
+(* Interleaved A/B timing: [repeat] rounds, each running every mode once
+   in turn, so slow phases of a noisy host spread over all modes instead
+   of landing on whichever one they coincide with. Returns each mode's
+   label, summed seconds and last result. *)
+let ab ?(repeat = 1) modes =
+  let time (_, f) =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (Unix.gettimeofday () -. t0, r)
+  in
+  let rounds = List.init repeat (fun _ -> List.map time modes) in
+  List.mapi
+    (fun i (label, _) ->
+      let runs = List.map (fun round -> List.nth round i) rounds in
+      (label, List.fold_left (fun acc (s, _) -> acc +. s) 0. runs,
+       snd (List.nth runs (repeat - 1))))
+    modes
+
+let result_of label modes =
+  let _, _, r = List.find (fun (l, _, _) -> String.equal l label) modes in
+  r
+
+let diverged fmt =
+  Printf.ksprintf (fun msg -> prerr_endline ("FATAL: " ^ msg); exit 1) fmt
+
+let ratio base s = Printf.sprintf "%.2fx" (s /. Float.max 1e-9 base)
+
+(* Sums each mode's seconds into [totals], an association label -> seconds. *)
+let add_seconds totals modes =
+  totals :=
+    List.map
+      (fun (label, s, _) ->
+        (label, s +. Option.value ~default:0. (List.assoc_opt label !totals)))
+      modes
+
+(* ------------------------------------------------------------------ *)
+(* analysis: compile-time cost of the static soundness checker at each
+   check level and of the static vulnerability tables, plus the checker's
+   verdicts. Aborts unless the incremental per-pass engine reports
+   exactly what the forced full re-check reports, and unless the vuln
+   tables are the same under every check mode. *)
+
+let analysis_repeat = 5
 
 let run_analysis () =
-  let module PP = Turnpike_compiler.Pass_pipeline in
   Report.section "Static checker: compile-time cost per check level (turnpike opts)";
   let scale = (!params).E.scale in
-  let benches = Suite.all () in
-  let progs = List.map (fun b -> b.Suite.build ~scale) benches in
+  let progs = List.map (fun b -> b.Suite.build ~scale) (Suite.all ()) in
   let opts = Scheme.compile_opts Scheme.turnpike ~sb_size:4 in
-  let levels = [ ("off", PP.Off); ("final", PP.Final); ("per-pass", PP.PerPass) ] in
+  let sweep ?(vuln = false) check () =
+    List.map
+      (fun prog ->
+        let c = PP.compile ~opts ~check prog in
+        let v =
+          if vuln then
+            Some (An.Vuln.compute (An.Context.with_machine ~wcdl:10 (PP.analysis_context c)))
+          else None
+        in
+        (c.PP.diags, v))
+      progs
+  in
+  (* Warm the allocator and code paths before anything is timed. *)
+  ignore (sweep PP.Off ());
+  let modes =
+    ab ~repeat:analysis_repeat
+      [ ("off", sweep PP.Off); ("final", sweep PP.Final);
+        ("per-pass", sweep PP.PerPass); ("full-recheck", sweep PP.PerPassFull);
+        ("off+vuln", sweep ~vuln:true PP.Off); ("final+vuln", sweep ~vuln:true PP.Final) ]
+  in
+  let diags label = List.map fst (result_of label modes) in
+  let tables label = List.map snd (result_of label modes) in
+  if diags "per-pass" <> diags "full-recheck" then
+    diverged "incremental per-pass diagnostics diverge from the full re-check";
+  if tables "off+vuln" <> tables "final+vuln" then
+    diverged "vuln tables depend on the check mode";
   let cols =
     Report.[ { title = "check level"; width = 12 }; { title = "wall ms"; width = 8 };
              { title = "diags"; width = 6 }; { title = "errors"; width = 6 } ]
   in
   Report.print_header cols;
   List.iter
-    (fun (label, check) ->
-      let t0 = Unix.gettimeofday () in
-      let diags = ref 0 and errors = ref 0 in
-      List.iter
-        (fun prog ->
-          let c = PP.compile ~opts ~check prog in
-          diags := !diags + List.length c.PP.diags;
-          errors := !errors + Turnpike_analysis.Diag.error_count c.PP.diags)
-        progs;
-      let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+    (fun (label, s, per_prog) ->
+      let diags = List.concat_map fst per_prog in
       Report.print_row cols
-        [ label; Printf.sprintf "%.1f" ms; string_of_int !diags; string_of_int !errors ])
-    levels;
+        [ label; Printf.sprintf "%.1f" (1000. *. s /. float_of_int analysis_repeat);
+          string_of_int (List.length diags);
+          string_of_int (An.Diag.error_count diags) ])
+    modes;
   Printf.printf
-    "(diagnostics are informational audits; errors must be 0 on shipped workloads)\n"
+    "(diagnostics are informational audits; errors must be 0 on shipped workloads)\n";
+  let ranked = List.filter_map Fun.id (tables "off+vuln") in
+  Printf.printf
+    "vuln: %d regions ranked, predicted AVF sum %.6f; per-pass = full-recheck \
+     and vuln tables identical across check modes\n"
+    (List.fold_left (fun acc v -> acc + List.length v.An.Vuln.by_region) 0 ranked)
+    (List.fold_left (fun acc v -> acc +. v.An.Vuln.predicted_avf) 0. ranked)
 
 (* ------------------------------------------------------------------ *)
 (* explore: cross-layer design-space exploration (not part of the default
@@ -676,20 +698,21 @@ let explore_budgets () =
     in
     List.rev (last :: rev)
 
+let explore_spec () =
+  match Turnpike.Design_point.spec_of_string !explore_grid_name with
+  | Ok s -> s
+  | Error msg ->
+    Printf.eprintf "--grid: %s\n" msg;
+    exit 2
+
 let run_explore () =
   let module X = Turnpike.Explore in
   let module DP = Turnpike.Design_point in
   Report.section "Design-space exploration: Pareto frontier by successive halving";
-  let spec =
-    match DP.spec_of_string !explore_grid_name with
-    | Ok s -> s
-    | Error msg ->
-      Printf.eprintf "--grid: %s\n" msg;
-      exit 2
-  in
   let report =
     X.run ~budgets:(explore_budgets ())
-      ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params ~spec ()
+      ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params
+      ~spec:(explore_spec ()) ()
   in
   Printf.printf "grid %s: %d points over {%s}, seed %d\n" !explore_grid_name
     report.X.grid_size
@@ -724,6 +747,257 @@ let run_explore () =
   csv "explore_pareto" Turnpike.Csv_export.explore_pareto report
 
 (* ------------------------------------------------------------------ *)
+(* replay: what snapshot/fork replay buys a fault campaign, and what
+   forensic lifecycle tracing costs on top. Every suite benchmark runs the
+   same seeded campaign from scratch (every fault replayed from step 0),
+   forked from the pilot snapshot nearest its strike site, and forked
+   with forensics on; the pilot counts against both fork modes. Aborts
+   unless the three reports are identical. *)
+
+let run_replay () =
+  let module Injector = Turnpike_resilience.Injector in
+  let module Snapshot = Turnpike_resilience.Snapshot in
+  let module Forensics = Turnpike_resilience.Forensics in
+  Report.section "Fault replay: from scratch vs snapshot fork vs fork + forensics (turnpike)";
+  let seed = (!campaign).Turnpike.Campaign_args.seed in
+  let count = campaign_faults () in
+  let totals = ref [] and faults = ref 0 and skipped = ref [] in
+  List.iter
+    (fun b ->
+      let c = Run.compile_with !params Scheme.turnpike b in
+      if not c.Run.trace.Turnpike_ir.Trace.complete then
+        skipped := Suite.qualified_name b :: !skipped
+      else begin
+        let campaign = Injector.campaign ~seed ~count c.Run.trace in
+        let golden = c.Run.final and compiled = c.Run.compiled in
+        let forked run () =
+          run (Snapshot.record ~every:Snapshot.default_every compiled)
+        in
+        let modes =
+          ab
+            [ ("scratch", fun () -> Verifier.run_campaign ~golden ~compiled campaign);
+              ("fork", forked (fun plan ->
+                   Verifier.run_campaign ~plan ~golden ~compiled campaign));
+              ("fork+forensics", forked (fun plan ->
+                   snd (Forensics.campaign ~plan ~golden ~compiled campaign))) ]
+        in
+        let scratch = result_of "scratch" modes in
+        List.iter
+          (fun (label, _, report) ->
+            if report <> scratch then
+              diverged "%s: %s report diverges from scratch" (Suite.qualified_name b)
+                label)
+          modes;
+        faults := !faults + List.length campaign;
+        add_seconds totals modes
+      end)
+    (Suite.all ());
+  let cols =
+    Report.[ { title = "mode"; width = 14 }; { title = "wall s"; width = 8 };
+             { title = "faults/s"; width = 9 }; { title = "speedup"; width = 8 } ]
+  in
+  Report.print_header cols;
+  let scratch_s = Option.value ~default:0. (List.assoc_opt "scratch" !totals) in
+  List.iter
+    (fun (label, s) ->
+      Report.print_row cols
+        [ label; Printf.sprintf "%.3f" s;
+          Printf.sprintf "%.1f" (float_of_int !faults /. Float.max 1e-9 s);
+          ratio s scratch_s ])
+    !totals;
+  Printf.printf "%d faults on %d benchmarks, seed %d: reports identical in every mode\n"
+    !faults
+    (List.length (Suite.all ()) - List.length !skipped)
+    seed;
+  if !skipped <> [] then
+    Printf.printf "skipped (trace truncated at this fuel): %s\n"
+      (String.concat ", " (List.rev !skipped))
+
+(* ------------------------------------------------------------------ *)
+(* telemetry: what an enabled sink costs. Re-runs every simulation of the
+   fig19 grid (turnpike scheme) with the disabled [Telemetry.null] sink
+   — the default everywhere — and with a sink capturing the full
+   cycle-level timeline, then compiles every benchmark both ways. Aborts
+   unless the simulation statistics are identical under both sinks. *)
+
+let run_telemetry () =
+  Report.section "Telemetry: null vs enabled sink (fig19 simulations and compile, turnpike)";
+  let p = !params in
+  let benches = Suite.all () in
+  (* Compile + trace once per point (cached, not timed): both modes then
+     time exactly the same [Timing.simulate] calls. *)
+  let prepared =
+    List.concat_map
+      (fun b ->
+        List.map
+          (fun wcdl ->
+            let r = Run.compile_with { p with Run.wcdl } Scheme.turnpike b in
+            (Scheme.machine Scheme.turnpike ~wcdl ~sb_size:p.Run.sb_size, r.Run.trace))
+          E.wcdls)
+      benches
+  in
+  let simulate sink () =
+    List.map
+      (fun (machine, trace) ->
+        let tel = sink () in
+        let stats = Turnpike_arch.Timing.simulate ~tel machine trace in
+        (stats, Telemetry.length tel + Telemetry.dropped tel))
+      prepared
+  in
+  let sims =
+    ab [ ("null", simulate (fun () -> Telemetry.null));
+         ("enabled", simulate (fun () -> Telemetry.create ())) ]
+  in
+  let stats label = List.map fst (result_of label sims) in
+  if stats "null" <> stats "enabled" then
+    diverged "simulation statistics depend on the telemetry sink";
+  let compile sink () =
+    List.iter
+      (fun b ->
+        ignore
+          (PP.compile ~opts:PP.turnpike_opts ~tel:(sink ()) (b.Suite.build ~scale:p.Run.scale)))
+      benches
+  in
+  let compiles =
+    ab [ ("null", compile (fun () -> Telemetry.null));
+         ("enabled", compile (fun () -> Telemetry.create ())) ]
+  in
+  let cols =
+    Report.[ { title = "work"; width = 10 }; { title = "sink"; width = 8 };
+             { title = "wall s"; width = 8 }; { title = "vs null"; width = 8 };
+             { title = "events"; width = 9 } ]
+  in
+  Report.print_header cols;
+  let rows work modes events =
+    let _, base, _ = List.hd modes in
+    List.iter
+      (fun (label, s, r) ->
+        Report.print_row cols
+          [ work; label; Printf.sprintf "%.3f" s; ratio base s; events r ])
+      modes
+  in
+  rows "simulate" sims (fun r ->
+      string_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 r));
+  rows "compile" compiles (fun () -> "-");
+  Printf.printf
+    "%d simulation points (%d benchmarks x WCDL %s): Sim_stats identical under \
+     both sinks\n"
+    (List.length prepared) (List.length benches)
+    (String.concat "/" (List.map string_of_int E.wcdls))
+
+(* ------------------------------------------------------------------ *)
+(* halving: what successive halving buys the explorer. Explores --grid
+   with the budget ladder (proxy rungs promote only the Pareto-best half
+   toward full scale) and exhaustively (every point at the full-scale
+   budget), each from a cold compile/trace cache. Aborts unless the
+   halving frontier re-validates at full scale and at most half the grid
+   reached full scale. *)
+
+let run_halving () =
+  let module X = Turnpike.Explore in
+  Report.section "Explorer: successive halving vs exhaustive full-scale search";
+  let spec = explore_spec () in
+  let budgets = explore_budgets () in
+  let explore budgets () =
+    Run.clear_cache ();
+    X.run ~budgets ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params ~spec ()
+  in
+  let modes =
+    ab [ ("halving", explore budgets);
+         ("exhaustive", explore [ List.nth budgets (List.length budgets - 1) ]) ]
+  in
+  let halving = result_of "halving" modes in
+  if not halving.X.validated then
+    diverged "halving frontier failed full-scale re-validation";
+  if 2 * halving.X.full_scale_evals > halving.X.grid_size then
+    diverged "halving promoted %d/%d points to full scale (> 50%%)"
+      halving.X.full_scale_evals halving.X.grid_size;
+  let cols =
+    Report.[ { title = "search"; width = 10 }; { title = "wall s"; width = 8 };
+             { title = "vs exh."; width = 7 }; { title = "evals"; width = 6 };
+             { title = "full"; width = 5 }; { title = "frontier"; width = 8 } ]
+  in
+  Report.print_header cols;
+  let _, exhaustive_s, _ = List.nth modes 1 in
+  List.iter
+    (fun (label, s, (r : X.report)) ->
+      Report.print_row cols
+        [ label; Printf.sprintf "%.3f" s; ratio exhaustive_s s;
+          string_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 r.X.evals_per_budget);
+          string_of_int r.X.full_scale_evals; string_of_int (List.length r.X.frontier) ])
+    modes;
+  Printf.printf "grid %s: %d points; halving rungs %s; frontier re-validated at full scale\n"
+    !explore_grid_name halving.X.grid_size
+    (String.concat ", "
+       (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) halving.X.evals_per_budget))
+
+(* ------------------------------------------------------------------ *)
+(* frontend: what the .tk text path costs against building the same
+   kernel through the OCaml template API (the two producers of the IR
+   test_frontend asserts store-stream-identical). Parsing alone is timed
+   separately so the lowering share is visible. Reads the ports from
+   examples/, relative to the working directory. *)
+
+let frontend_repeat = 200
+
+let frontend_kernels =
+  let module T = Turnpike_workloads.Templates in
+  [
+    ("triad", fun s -> T.triad ~iters:(8 * s) ());
+    ("stencil", fun s -> T.stencil ~iters:(8 * s) ());
+    ("histogram", fun s -> T.histogram ~iters:(16 * s) ~buckets:8 ());
+    ("gather", fun s -> T.gather ~iters:(12 * s) ~span:16 ());
+    ("mixed", fun s -> T.mixed ~iters:(10 * s) ());
+    ("matmul", fun s -> T.matmul ~n:(4 * s) ());
+    ("pointer_chase", fun s -> T.pointer_chase ~nodes:16 ~iters:(8 * s) ());
+  ]
+
+let run_frontend () =
+  let module Tk = Turnpike_frontend.Tk in
+  Report.section ".tk frontend: text path vs OCaml template builder";
+  let scale = (!params).Run.scale in
+  let cols =
+    Report.[ { title = "kernel"; width = 14 }; { title = "parse ms"; width = 8 };
+             { title = "text ms"; width = 8 }; { title = "template ms"; width = 11 };
+             { title = "text/template"; width = 13 } ]
+  in
+  Report.print_header cols;
+  let row name secs =
+    let s label = List.assoc label secs in
+    let ms label = Printf.sprintf "%.3f" (1000. *. s label /. float_of_int frontend_repeat) in
+    Report.print_row cols
+      [ name; ms "parse"; ms "text"; ms "template"; ratio (s "template") (s "text") ]
+  in
+  let totals = ref [] in
+  List.iter
+    (fun (name, template) ->
+      let path = Filename.concat "examples" (name ^ ".tk") in
+      let src =
+        try In_channel.with_open_bin path In_channel.input_all
+        with Sys_error msg ->
+          Printf.eprintf "frontend: %s (run from the repository root)\n" msg;
+          exit 2
+      in
+      let modes =
+        ab ~repeat:frontend_repeat
+          [ ("parse", fun () ->
+                match Tk.parse_string ~file:path src with
+                | Ok _ -> ()
+                | Error e -> diverged "%s" (Turnpike_frontend.Srcloc.error_to_string e));
+            ("text", fun () ->
+                match Tk.compile_string ~file:path ~scale src with
+                | Ok _ -> ()
+                | Error e -> diverged "%s" e);
+            ("template", fun () -> ignore (template scale)) ]
+      in
+      add_seconds totals modes;
+      row name (List.map (fun (label, s, ()) -> (label, s)) modes))
+    frontend_kernels;
+  row "total" !totals;
+  Printf.printf "(per compile, mean of %d interleaved rounds at scale %d)\n"
+    frontend_repeat scale
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -735,14 +1009,21 @@ let experiments =
     ("energy", run_energy); ("ablation50", run_ablation50);
     ("unroll", run_unroll); ("motivation", run_motivation);
     ("analysis", run_analysis); ("explore", run_explore);
+    ("replay", run_replay); ("telemetry", run_telemetry);
+    ("halving", run_halving); ("frontend", run_frontend);
   ]
 
-(* A grid sweep is opt-in, like --micro: keep it out of the run-all set. *)
-let default_experiments =
-  List.filter (fun (n, _) -> n <> "explore") experiments
+(* A grid sweep and the cost sections are deliberate choices: keep them
+   out of the run-all set. *)
+let opt_in = [ "explore"; "replay"; "telemetry"; "halving"; "frontend" ]
+
+let int_arg flag v =
+  match int_of_string_opt v with
+  | Some n -> n
+  | None -> failwith (Printf.sprintf "%s expects a number, got %s" flag v)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
+  Telemetry.Clock.set Unix.gettimeofday;
   let rec parse sel args =
     (* The shared campaign flags (--seed/--faults/--ci/--confidence/
        --batch/--jobs) are recognized by the one spec in Campaign_args. *)
@@ -755,38 +1036,40 @@ let () =
       match args with
       | [] -> List.rev sel
       | "--scale" :: n :: rest ->
-        params := { !params with E.scale = int_of_string n };
+        params := { !params with E.scale = int_arg "--scale" n };
         parse sel rest
       | "--fuel" :: n :: rest ->
-        params := { !params with E.fuel = int_of_string n };
+        params := { !params with E.fuel = int_arg "--fuel" n };
         parse sel rest
       | "--grid" :: g :: rest ->
         explore_grid_name := g;
         parse sel rest
       | "--csv" :: dir :: rest ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
+        (try Unix.mkdir dir 0o755 with
+        | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+        | Unix.Unix_error (e, _, _) ->
+          Printf.eprintf "--csv %s: %s\n" dir (Unix.error_message e);
+          exit 2);
         csv_dir := Some dir;
         parse sel rest
-      | "--micro" :: rest ->
-        micro ();
-        parse sel rest
-      | "--profile" :: rest ->
-        profile ();
-        parse sel rest
+      | "--profile" :: rest -> parse ("--profile" :: sel) rest
       | x :: rest when List.mem_assoc x experiments -> parse (x :: sel) rest
       | x :: _ ->
         Printf.eprintf
           "unknown argument %s; known: %s --scale N --fuel N --grid G %s \
-           --micro --profile --csv DIR\n"
+           --profile --csv DIR\n"
           x
           (String.concat " " (List.map fst experiments))
           Turnpike.Campaign_args.usage;
         exit 2)
   in
-  let selected = try parse [] args with Failure msg -> Printf.eprintf "%s\n" msg; exit 2 in
   let selected =
-    if selected = [] && not (List.mem "--micro" args || List.mem "--profile" args)
-    then List.map fst default_experiments
+    try parse [] (List.tl (Array.to_list Sys.argv))
+    with Failure msg -> Printf.eprintf "%s\n" msg; exit 2
+  in
+  let selected =
+    if selected = [] then
+      List.filter (fun n -> not (List.mem n opt_in)) (List.map fst experiments)
     else selected
   in
   (* fig14 and fig15 share a driver; avoid printing it twice. *)
@@ -795,4 +1078,4 @@ let () =
       List.filter (fun s -> s <> "fig15") selected
     else selected
   in
-  List.iter (fun name -> (List.assoc name experiments) ()) selected
+  List.iter (fun name -> (List.assoc name (("--profile", profile) :: experiments)) ()) selected

@@ -79,11 +79,11 @@ let scale_arg =
    one arg spec in Turnpike.Campaign_args (also used by bench). *)
 module CA = Turnpike.Campaign_args
 
-(* Worker domains for experiment grids (see Turnpike.Parallel). 0 = auto
+(* Worker domains for experiment grids (see Turnpike_parallel). 0 = auto
    (CPU count); 1 preserves strictly sequential execution. The term is
    evaluated for its side effect before the command body runs. *)
 let jobs_arg =
-  let set n = Turnpike.Parallel.set_default_jobs n in
+  let set n = Turnpike_parallel.set_default_jobs n in
   Term.(
     const set
     $ Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc:CA.doc_jobs))

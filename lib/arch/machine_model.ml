@@ -1,36 +1,14 @@
-(* One signature over both core models, so the design-space explorer can
+(* One value over both core models, so the design-space explorer can
    treat {in-order, out-of-order} as just another sweep axis. *)
-
-module type S = sig
-  type config
-
-  val name : config -> string
-  val simulate : config -> Turnpike_ir.Trace.t -> Sim_stats.t
-end
-
-module In_order_model = struct
-  type config = Machine.t
-
-  let name (m : Machine.t) = m.Machine.name
-  let simulate m trace = Timing.simulate m trace
-end
-
-module Ooo_model = struct
-  type config = Ooo_timing.config
-
-  let name (c : Ooo_timing.config) =
-    Printf.sprintf "ooo-rob%d-sb%d%s" c.Ooo_timing.rob_size c.Ooo_timing.sb_size
-      (if c.Ooo_timing.verification then Printf.sprintf "-dl%d" c.Ooo_timing.wcdl
-       else "")
-
-  let simulate c trace = Ooo_timing.simulate c trace
-end
 
 type t = In_order of Machine.t | Out_of_order of Ooo_timing.config
 
 let name = function
-  | In_order m -> In_order_model.name m
-  | Out_of_order c -> Ooo_model.name c
+  | In_order m -> m.Machine.name
+  | Out_of_order c ->
+    Printf.sprintf "ooo-rob%d-sb%d%s" c.Ooo_timing.rob_size c.Ooo_timing.sb_size
+      (if c.Ooo_timing.verification then Printf.sprintf "-dl%d" c.Ooo_timing.wcdl
+       else "")
 
 let sb_size = function
   | In_order m -> m.Machine.sb_size
@@ -38,9 +16,5 @@ let sb_size = function
 
 let simulate t trace =
   match t with
-  | In_order m -> In_order_model.simulate m trace
-  | Out_of_order c -> Ooo_model.simulate c trace
-
-let packed : t -> (module S) = function
-  | In_order _ -> (module In_order_model)
-  | Out_of_order _ -> (module Ooo_model)
+  | In_order m -> Timing.simulate m trace
+  | Out_of_order c -> Ooo_timing.simulate c trace

@@ -1,29 +1,11 @@
-(** One signature over both core models.
+(** One value over both core models.
 
     The in-order pipeline ({!Timing}) and the out-of-order core
     ({!Ooo_timing}) grew as separate modules with separate config records;
     the design-space explorer needs to treat "which core" as just another
-    axis. {!S} is the common shape — a config replayed over a trace into
-    {!Sim_stats.t} — and {!t} packs a configured instance of either
-    backend as one value, so a sweep can score heterogeneous points
-    through a single [simulate] call. *)
-
-(** Common signature of a trace-driven core model. *)
-module type S = sig
-  type config
-
-  val name : config -> string
-  (** Short human-readable tag used in reports and CSV cells. *)
-
-  val simulate : config -> Turnpike_ir.Trace.t -> Sim_stats.t
-end
-
-module In_order_model : S with type config = Machine.t
-(** {!Timing.simulate} behind the common signature (no telemetry sink —
-    sweeps never record timelines). *)
-
-module Ooo_model : S with type config = Ooo_timing.config
-(** {!Ooo_timing.simulate} behind the common signature. *)
+    axis. {!t} packs a configured instance of either backend as one value,
+    so a sweep can score heterogeneous points through a single
+    [simulate] call. *)
 
 type t =
   | In_order of Machine.t
@@ -31,15 +13,13 @@ type t =
       (** A configured core of either kind, ready to replay traces. *)
 
 val name : t -> string
+(** Short human-readable tag used in reports and CSV cells. *)
 
 val sb_size : t -> int
 (** Store-buffer entries of the configured core (the CAM whose cost the
     explorer's area/energy objectives charge). *)
 
 val simulate : t -> Turnpike_ir.Trace.t -> Sim_stats.t
-(** Replay a trace on whichever backend the value carries. Deterministic:
-    a pure function of (config, trace). *)
-
-val packed : t -> (module S)
-(** The backend of [t] as a first-class module, for callers generic over
-    {!S} (e.g. a micro-benchmark harness instantiated per backend). *)
+(** Replay a trace on whichever backend the value carries (no telemetry
+    sink — sweeps never record timelines). Deterministic: a pure function
+    of (config, trace). *)

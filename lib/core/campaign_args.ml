@@ -82,7 +82,7 @@ let consume t = function
   | _ -> None
 
 let apply_jobs t =
-  match t.jobs with None -> () | Some n -> Parallel.set_default_jobs n
+  match t.jobs with None -> () | Some n -> Turnpike_parallel.set_default_jobs n
 
 let stopping ?(default = Verifier.default_stopping) t =
   match t.ci with

@@ -38,7 +38,7 @@ val usage : string
 
 val apply_jobs : t -> unit
 (** Install [t.jobs] as the pool width via
-    {!Parallel.set_default_jobs}; no-op when unset. *)
+    {!Turnpike_parallel.set_default_jobs}; no-op when unset. *)
 
 val stopping : ?default:Turnpike_resilience.Verifier.stopping -> t -> Turnpike_resilience.Verifier.stopping option
 (** The sequential-stopping rule these arguments select: [Some] exactly

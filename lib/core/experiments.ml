@@ -42,7 +42,7 @@ let spec_benchmarks () =
 type fig4_row = { bench : string; ratio_sb40 : float; ratio_sb4 : float }
 
 let fig4 ?(params = default_params) () =
-  Parallel.grid ~items:(spec_benchmarks ()) ~configs:[ 40; 4 ]
+  Turnpike_parallel.grid ~items:(spec_benchmarks ()) ~configs:[ 40; 4 ]
     (fun b sb_size ->
       let c = Run.compile_with { params with sb_size } Scheme.turnstile b in
       let t = c.Run.trace in
@@ -129,7 +129,7 @@ let fig20 ?params () = wcdl_sweep ?params Scheme.turnstile
 type fig21_row = { bench : string; by_scheme : (string * float) list }
 
 let ladder_at ~params ~wcdl () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:Scheme.ladder
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:Scheme.ladder
     (fun b s -> fst (Run.normalized_with { params with wcdl } s b))
   |> List.map (fun (b, by) ->
          {
@@ -159,7 +159,7 @@ let fig22_configs =
       [ 8; 10; 20; 30; 40 ]
 
 let fig22 ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:fig22_configs
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:fig22_configs
     (fun b (_, scheme, sb) ->
       fst
         (Run.normalized_with
@@ -191,7 +191,7 @@ type fig23_row = {
 let fig23 ?(params = default_params) () =
   (* One task per benchmark: the ladder walk inside is a data-dependent
      sequence, but distinct benchmarks are independent. *)
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let trace_of scheme =
         (Run.compile_with { params with sb_size = 4 } scheme b).Run.trace
@@ -258,7 +258,7 @@ let fig23 ?(params = default_params) () =
 type fig24_row = { bench : string; mean_entries : float; max_entries : int }
 
 let fig24 ?(params = default_params) () =
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let r = Run.run_with { params with wcdl = 10 } Scheme.turnpike b in
       {
@@ -271,7 +271,7 @@ let fig24 ?(params = default_params) () =
 type fig25_row = { bench : string; overhead_clq2 : float; overhead_clq4 : float }
 
 let fig25 ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:[ 2; 4 ]
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:[ 2; 4 ]
     (fun b n ->
       let scheme = Scheme.with_clq Scheme.turnpike (Some (Clq.Compact n)) in
       fst (Run.normalized_with { params with wcdl = 10 } scheme b))
@@ -288,7 +288,7 @@ let fig25 ?(params = default_params) () =
 type fig26_row = { bench : string; region_size : float; code_increase_pct : float }
 
 let fig26 ?(params = default_params) () =
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let c = Run.compile_with { params with sb_size = 4 } Scheme.turnpike b in
       let t = c.Run.trace in
@@ -324,7 +324,7 @@ type motivation_row = {
 
 let motivation ?(params = default_params) ?(wcdl = 10) () =
   let params = { params with wcdl; sb_size = 4 } in
-  Parallel.map_list
+  Turnpike_parallel.map_list
     (fun b ->
       let c = Run.compile_with params Scheme.turnstile b in
       let base = Run.compile_with params Scheme.baseline b in
@@ -353,7 +353,7 @@ type unroll_row = {
 let unroll_factors = [ 1; 2; 4 ]
 
 let unroll_ablation ?(params = default_params) ?(wcdl = 50) () =
-  Parallel.grid ~items:(benchmarks ()) ~configs:unroll_factors
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:unroll_factors
     (fun b factor ->
       let overhead scheme factor =
         let opts =
@@ -413,7 +413,7 @@ let resilience_energy stats ~sb_size =
   +. (float_of_int (stats.Sim_stats.loads + Sim_stats.sb_writes stats) *. clq)
 
 let energy ?(params = default_params) () =
-  Parallel.grid ~items:(benchmarks ())
+  Turnpike_parallel.grid ~items:(benchmarks ())
     ~configs:[ Scheme.turnstile; Scheme.turnpike ]
     (fun b scheme ->
       let r = Run.run_with { params with wcdl = 10 } scheme b in

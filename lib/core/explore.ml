@@ -224,7 +224,7 @@ let run_campaign ~params ~budget ~seed ~forensics key b =
    order). Returns (point, objectives) in the input (grid) order. *)
 let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
   let timing =
-    Parallel.grid ~items:points ~configs:benches (fun p b ->
+    Turnpike_parallel.grid ~items:points ~configs:benches (fun p b ->
         timing_of ~params ~budget p b)
   in
   let keys =
@@ -360,7 +360,7 @@ let static_score_batch ~benches ~scale points =
     |> List.rev
   in
   let scores =
-    Parallel.map_list (fun k -> (k, static_score_key ~benches ~scale k)) keys
+    Turnpike_parallel.map_list (fun k -> (k, static_score_key ~benches ~scale k)) keys
   in
   List.map
     (fun p ->

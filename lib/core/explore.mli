@@ -15,7 +15,7 @@
 
     Everything is deterministic at any [--jobs] setting: grid enumeration
     order is fixed ({!Design_point.grid}), parallel fan-out is
-    index-ordered ({!Parallel}), campaigns use seeded fault lists with
+    index-ordered ({!Turnpike_parallel}), campaigns use seeded fault lists with
     sequential stopping ({!Turnpike_resilience.Verifier.run_campaign_ci}),
     and halving promotion breaks ties by grid position. *)
 

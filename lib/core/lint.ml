@@ -72,7 +72,7 @@ let run ?(per_pass = false) ?full_recheck ?sb_size ?scale ?jobs ~schemes
       benches
   in
   let entries =
-    Parallel.map_list ?jobs
+    Turnpike_parallel.map_list ?jobs
       (fun ((b : Suite.entry), (s : Scheme.t)) ->
         let diags, check_log =
           lint_cell ~per_pass ?full_recheck ?sb_size ?scale s b
@@ -170,7 +170,7 @@ let run_vuln ?sb_size ?scale ?wcdl ?jobs ~schemes benches =
     List.concat_map (fun b -> List.map (fun s -> (b, s)) schemes) benches
   in
   let ventries =
-    Parallel.map_list ?jobs
+    Turnpike_parallel.map_list ?jobs
       (fun ((b : Suite.entry), (s : Scheme.t)) ->
         {
           v_benchmark = Suite.qualified_name b;

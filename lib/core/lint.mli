@@ -58,7 +58,7 @@ val run :
   schemes:Scheme.t list ->
   Suite.entry list ->
   report
-(** Lint the full (benchmark × scheme) grid over the {!Parallel} pool.
+(** Lint the full (benchmark × scheme) grid over the {!Turnpike_parallel} pool.
     [full_recheck] (with [per_pass]) re-runs every check after every pass
     instead of only the invalidated ones — the report must come out
     byte-identical; [tools/check.sh] diffs the two. *)

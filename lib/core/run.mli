@@ -5,7 +5,7 @@
     machine variation of a scheme.
 
     The cache is domain-safe and in-flight-latched: concurrent
-    {!Parallel} workers asking for the same key block until the first
+    {!Turnpike_parallel} workers asking for the same key block until the first
     worker publishes, so a binary is never compiled twice. *)
 
 open Turnpike_ir

@@ -21,7 +21,7 @@ let cross a b =
     (List.concat_map (fun x -> List.map (fun y -> (x, y)) b.values) a.values)
 
 let grid ?jobs ~items ~axis f =
-  Parallel.grid ?jobs ~items ~configs:axis.values f
+  Turnpike_parallel.grid ?jobs ~items ~configs:axis.values f
 
 let rows ~items ~axis ~row f =
   List.map (fun (item, results) -> row item results) (grid ~items ~axis f)

@@ -7,7 +7,7 @@
     become one {!grid} call instead of a bespoke loop, and the explorer
     composes six axes into a {!Design_point} grid declaratively.
 
-    Evaluation delegates to {!Parallel.grid}: the full cartesian product
+    Evaluation delegates to {!Turnpike_parallel.grid}: the full cartesian product
     is submitted to the domain pool as one flat task list and results are
     regrouped in input order, so rows are identical at any [--jobs]. *)
 

@@ -28,7 +28,7 @@ let track_names = [ "regions"; "stalls"; "verify"; "store-buffer"; "clq" ]
 let capture ?jobs ?(params = Run.default_params) (bench : Suite.entry) =
   let schemes = Scheme.ladder in
   let sinks =
-    Parallel.map ?jobs
+    Turnpike_parallel.map ?jobs
       (fun (i, scheme) ->
         let tel = Telemetry.create ~task:i () in
         ignore (Run.run_with ~tel params scheme bench);

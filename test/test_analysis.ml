@@ -317,6 +317,18 @@ let test_perpass_clean_on_shipped () =
          | Some p -> List.mem p (PP.pass_names PP.turnpike_opts))
        c.PP.diags)
 
+let test_perpass_matches_full_recheck_on_suite () =
+  (* The incremental engine (facet invalidation + context reuse) must
+     report exactly what the forced full re-check reports, on every
+     shipped workload. *)
+  List.iter
+    (fun b ->
+      let prog = b.Suite.build ~scale:1 in
+      let diags check = (PP.compile ~opts:PP.turnpike_opts ~check prog).PP.diags in
+      check (Suite.qualified_name b ^ ": per-pass = full re-check") true
+        (diags PP.PerPass = diags PP.PerPassFull))
+    (Suite.all ())
+
 (* ------------------------------------------------------------------ *)
 (* Differential oracle: analyzer verdict vs fault-injection ground truth *)
 
@@ -524,6 +536,8 @@ let tests =
     Alcotest.test_case "schedule-deps rejections" `Quick test_schedule_rejects;
     Alcotest.test_case "declared pass list single source" `Quick test_pass_list_single_source;
     Alcotest.test_case "per-pass clean on shipped workload" `Quick test_perpass_clean_on_shipped;
+    Alcotest.test_case "per-pass = full re-check on the suite" `Quick
+      test_perpass_matches_full_recheck_on_suite;
     Alcotest.test_case "mutant: dropped checkpoint" `Quick test_mutant_dropped_checkpoint;
     Alcotest.test_case "mutant: bogus WAR-bypass claim" `Quick test_mutant_bogus_bypass_claim;
     Alcotest.test_case "mutant: loop direct-release claim" `Quick test_mutant_loop_direct_release;

@@ -7,7 +7,6 @@ open Turnpike_ir
 module Machine = Turnpike_arch.Machine
 module Sensor = Turnpike_arch.Sensor
 module BP = Turnpike_arch.Branch_predictor
-module Recovery_expr = Turnpike_compiler.Recovery_expr
 module Suite = Turnpike_workloads.Suite
 
 let check = Alcotest.(check bool)

@@ -157,6 +157,21 @@ let test_campaign_jobs_invariant () =
          acc + Forensics.counts_total row.Forensics.counts)
        0 s.Forensics.by_register)
 
+let test_campaign_report_matches_verifier () =
+  (* Forensic sinks never influence outcomes: the report equals the plain
+     campaign's, from scratch and forked from a pilot plan alike. *)
+  let c = compiled_of "libquan" in
+  let compiled = c.Turnpike.Run.compiled in
+  let golden = c.Turnpike.Run.final in
+  let faults = Injector.campaign ~seed:9 ~count:24 c.Turnpike.Run.trace in
+  let plain = Verifier.run_campaign ~golden ~compiled faults in
+  check "scratch: forensics report = plain report" true
+    (snd (Forensics.campaign ~golden ~compiled faults) = plain);
+  let plan = Snapshot.record compiled in
+  check "forked: forensics report = plain report" true
+    (snd (Forensics.campaign ~plan ~golden ~compiled faults)
+    = Verifier.run_campaign ~plan ~golden ~compiled faults)
+
 let test_wilson_trajectory_jobs_invariant () =
   let c = compiled_of "libquan" in
   let compiled = c.Turnpike.Run.compiled in
@@ -282,6 +297,7 @@ let tests =
     ("masked fault has no lifecycle", `Quick, test_masked_fault_has_no_lifecycle);
     ("classify and vulnerability math", `Quick, test_classify_and_vulnerability);
     ("campaign byte-identical across --jobs", `Quick, test_campaign_jobs_invariant);
+    ("campaign report = Verifier.run_campaign", `Quick, test_campaign_report_matches_verifier);
     ( "wilson trajectory byte-identical across --jobs",
       `Slow,
       test_wilson_trajectory_jobs_invariant );

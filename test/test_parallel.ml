@@ -3,7 +3,6 @@
    CSV output at any job count, with the domain-safe compile/trace cache
    deduplicating work underneath. *)
 
-module Parallel = Turnpike.Parallel
 module Run = Turnpike.Run
 module Scheme = Turnpike.Scheme
 module E = Turnpike.Experiments
@@ -21,19 +20,19 @@ let test_map_orders_results () =
   let expected = Array.map (fun i -> (i * 7) + 1) tasks in
   List.iter
     (fun jobs ->
-      let got = Parallel.map ~jobs (fun i -> (i * 7) + 1) tasks in
+      let got = Turnpike_parallel.map ~jobs (fun i -> (i * 7) + 1) tasks in
       check (Printf.sprintf "ordered at jobs=%d" jobs) true (got = expected))
     [ 1; 2; 4; 9 ]
 
 let test_map_empty_and_singleton () =
-  check_int "empty" 0 (Array.length (Parallel.map ~jobs:4 succ [||]));
-  check "singleton" true (Parallel.map ~jobs:4 succ [| 41 |] = [| 42 |])
+  check_int "empty" 0 (Array.length (Turnpike_parallel.map ~jobs:4 succ [||]));
+  check "singleton" true (Turnpike_parallel.map ~jobs:4 succ [| 41 |] = [| 42 |])
 
 let test_map_reraises_lowest_index () =
   let boom i = if i mod 3 = 0 then failwith (string_of_int i) else i in
   List.iter
     (fun jobs ->
-      match Parallel.map ~jobs boom (Array.init 20 (fun i -> i + 1)) with
+      match Turnpike_parallel.map ~jobs boom (Array.init 20 (fun i -> i + 1)) with
       | _ -> Alcotest.fail "expected an exception"
       | exception Failure msg ->
         (* Tasks 3, 6, 9... fail; the lowest-indexed failure wins at any
@@ -45,7 +44,7 @@ let test_map_reraises_lowest_index () =
 
 let test_grid_regroups_in_order () =
   let rows =
-    Parallel.grid ~jobs:4 ~items:[ "a"; "b"; "c" ] ~configs:[ 1; 2 ]
+    Turnpike_parallel.grid ~jobs:4 ~items:[ "a"; "b"; "c" ] ~configs:[ 1; 2 ]
       (fun item c -> Printf.sprintf "%s%d" item c)
   in
   check "grid rows" true
@@ -54,29 +53,20 @@ let test_grid_regroups_in_order () =
         ("c", [ (1, "c1"); (2, "c2") ]) ])
 
 let test_default_jobs_setting () =
-  let saved = Parallel.effective_jobs () in
-  Parallel.set_default_jobs 3;
-  check_int "explicit width" 3 (Parallel.effective_jobs ());
-  Parallel.set_default_jobs 0;
-  check "auto width positive" true (Parallel.effective_jobs () >= 1);
-  Parallel.set_default_jobs saved
-
-let test_alias_shares_pool_config () =
-  (* Turnpike.Parallel is a re-export of the standalone turnpike.parallel
-     library: configuring one configures the other. *)
-  let saved = Parallel.effective_jobs () in
-  Turnpike_parallel.set_default_jobs 5;
-  check_int "alias sees library setting" 5 (Parallel.effective_jobs ());
-  Parallel.set_default_jobs saved;
-  check_int "library sees alias setting" saved (Turnpike_parallel.effective_jobs ())
+  let saved = Turnpike_parallel.effective_jobs () in
+  Turnpike_parallel.set_default_jobs 3;
+  check_int "explicit width" 3 (Turnpike_parallel.effective_jobs ());
+  Turnpike_parallel.set_default_jobs 0;
+  check "auto width positive" true (Turnpike_parallel.effective_jobs () >= 1);
+  Turnpike_parallel.set_default_jobs saved
 
 let test_nested_map_degrades_sequentially () =
   (* A map issued from inside a worker must not spawn another pool; it
      runs sequentially in that worker and still returns ordered results. *)
   let rows =
-    Parallel.map ~jobs:4
+    Turnpike_parallel.map ~jobs:4
       (fun i ->
-        Array.to_list (Parallel.map ~jobs:4 (fun j -> (i * 10) + j) [| 0; 1; 2 |]))
+        Array.to_list (Turnpike_parallel.map ~jobs:4 (fun j -> (i * 10) + j) [| 0; 1; 2 |]))
       (Array.init 6 (fun i -> i))
   in
   check "nested results ordered" true
@@ -90,10 +80,10 @@ let small = { E.default_params with E.scale = 1; fuel = 20_000 }
 
 let sweep_csv ~jobs =
   Run.clear_cache ();
-  let saved = Parallel.effective_jobs () in
-  Parallel.set_default_jobs jobs;
+  let saved = Turnpike_parallel.effective_jobs () in
+  Turnpike_parallel.set_default_jobs jobs;
   let rows = E.fig19 ~params:small () in
-  Parallel.set_default_jobs saved;
+  Turnpike_parallel.set_default_jobs saved;
   let path = Filename.temp_file "turnpike_fig19_" ".csv" in
   Turnpike.Csv_export.wcdl_sweep ~path rows;
   let ic = open_in_bin path in
@@ -117,7 +107,7 @@ let test_parallel_cache_shared () =
   Run.clear_cache ();
   let bench = List.hd (Turnpike_workloads.Suite.find_by_name "libquan") in
   let results =
-    Parallel.map ~jobs:4
+    Turnpike_parallel.map ~jobs:4
       (fun _ ->
         Run.compile_with
           { Run.default_params with Run.scale = 1; fuel = 20_000 }
@@ -201,7 +191,6 @@ let tests =
     ("map re-raises lowest-index failure", `Quick, test_map_reraises_lowest_index);
     ("grid regroups per item in order", `Quick, test_grid_regroups_in_order);
     ("default jobs setting", `Quick, test_default_jobs_setting);
-    ("Turnpike.Parallel aliases turnpike.parallel", `Quick, test_alias_shares_pool_config);
     ("nested map degrades to sequential", `Quick, test_nested_map_degrades_sequentially);
     ("fig19 sweep byte-identical at jobs 1 vs 4", `Slow, test_sweep_deterministic_across_jobs);
     ("campaign report identical at jobs 1 vs 4", `Slow, test_campaign_report_identical_across_jobs);

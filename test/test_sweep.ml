@@ -12,7 +12,6 @@ module CA = Turnpike.Campaign_args
 module E = Turnpike.Experiments
 module Run = Turnpike.Run
 module Scheme = Turnpike.Scheme
-module Parallel = Turnpike.Parallel
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -162,12 +161,12 @@ let run_tiny () =
   Explore.run ~seed:7 ~params:explore_params ~spec:DP.tiny_spec ()
 
 let test_explore_deterministic_across_jobs () =
-  let saved = Parallel.effective_jobs () in
-  Parallel.set_default_jobs 1;
+  let saved = Turnpike_parallel.effective_jobs () in
+  Turnpike_parallel.set_default_jobs 1;
   let r1 = run_tiny () in
-  Parallel.set_default_jobs 4;
+  Turnpike_parallel.set_default_jobs 4;
   let r4 = run_tiny () in
-  Parallel.set_default_jobs saved;
+  Turnpike_parallel.set_default_jobs saved;
   check "reports identical at jobs 1 vs 4" true (r1 = r4);
   (* Byte-level: the rendered CSV artifacts match too. *)
   let render r =

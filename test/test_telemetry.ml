@@ -386,6 +386,21 @@ let test_compile_disabled_sink_untouched () =
     b.Pass_pipeline.stats.Static_stats.code_size;
   check_int "null sink stayed empty" 0 (Telemetry.length Telemetry.null)
 
+let test_simulate_enabled_sink_untouched () =
+  (* Recording the timeline must not change what is simulated. *)
+  let params = { Run.default_params with Run.scale = 1; fuel = 20_000 } in
+  List.iter
+    (fun (name, scheme) ->
+      let r = Run.compile_with params scheme (List.hd (Suite.find_by_name name)) in
+      let machine = Scheme.machine scheme ~wcdl:30 ~sb_size:4 in
+      let tel = Telemetry.create () in
+      let on = Turnpike_arch.Timing.simulate ~tel machine r.Run.trace in
+      check (name ^ " " ^ scheme.Scheme.name ^ ": Sim_stats identical under both sinks")
+        true
+        (Turnpike_arch.Timing.simulate machine r.Run.trace = on);
+      check "the enabled sink recorded the run" true (Telemetry.length tel > 0))
+    [ ("libquan", Scheme.turnpike); ("lbm", Scheme.turnstile); ("mcf", Scheme.baseline) ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats JSON surfaces. *)
 
@@ -428,6 +443,7 @@ let tests =
     ("jsonl export round-trips", `Quick, test_jsonl_roundtrip);
     ("per-pass spans match the pipeline", `Quick, test_pass_spans_match_pipeline);
     ("disabled sink leaves compile untouched", `Quick, test_compile_disabled_sink_untouched);
+    ("enabled sink leaves simulation untouched", `Quick, test_simulate_enabled_sink_untouched);
     ("static stats JSON well-formed", `Quick, test_static_stats_json);
     ("static stats diff", `Quick, test_static_stats_diff);
     ("sensor deployment JSON", `Quick, test_sensor_json);

@@ -345,7 +345,7 @@ let test_static_predicts_dynamic_regions () =
     { Verifier.half_width = 0.08; confidence = 0.95; batch = 16; min_faults = 96 }
   in
   let results =
-    Turnpike.Parallel.map_list
+    Turnpike_parallel.map_list
       (fun b ->
         let c = Turnpike.Run.compile_with params Turnpike.Scheme.turnpike b in
         let compiled = c.Turnpike.Run.compiled in
@@ -389,6 +389,22 @@ let test_static_predicts_dynamic_regions () =
     true
     (List.length passed >= 30)
 
+let test_tables_independent_of_check_mode () =
+  (* The analysis is a pure function of the compiled binary: checking the
+     build (or not) must not change a single table cell. *)
+  let opts = Turnpike.Scheme.compile_opts Turnpike.Scheme.turnpike ~sb_size:4 in
+  List.iter
+    (fun b ->
+      let prog = b.Suite.build ~scale:1 in
+      let vuln check =
+        Vuln.compute
+          (Analysis.Context.with_machine ~wcdl:10
+             (Pass_pipeline.analysis_context (Pass_pipeline.compile ~opts ~check prog)))
+      in
+      check (Suite.qualified_name b ^ ": Off = Final") true
+        (vuln Pass_pipeline.Off = vuln Pass_pipeline.Final))
+    (Suite.all ())
+
 let tests =
   [
     Alcotest.test_case "natural key comparator" `Quick test_key_compare;
@@ -402,6 +418,8 @@ let tests =
       test_agreement_restricts_to_common_keys;
     Alcotest.test_case "compute sanity on a real binary" `Quick
       test_compute_sanity;
+    Alcotest.test_case "tables independent of the check mode" `Quick
+      test_tables_independent_of_check_mode;
     Alcotest.test_case "predicted AVF monotone in WCDL" `Quick
       test_wcdl_raises_escape;
     Alcotest.test_case "registered as the sixth whole check" `Quick

@@ -21,8 +21,11 @@
 #                             byte-identical at any job count, that a bad
 #                             --pipeline spec exits 1 with a diagnostic,
 #                             that every command block in docs/TUTORIAL.md
-#                             runs verbatim, and (advisorily) that the
-#                             odoc docs build.
+#                             runs verbatim, that each bench/main.exe cost
+#                             section passes its divergence checks at tiny
+#                             size, that --profile honours later flags and
+#                             a bad --csv directory exits 2, and
+#                             (advisorily) that the odoc docs build.
 #
 # Exits non-zero on the first failure.
 set -euo pipefail
@@ -172,6 +175,38 @@ test -s "$tmp/explore1/explore_pareto.csv"
 dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
   --jobs 2 > "$tmp/explore_cli.txt"
 grep -q 'Pareto frontier' "$tmp/explore_cli.txt"
+
+echo "== bench sections: cost sections at tiny size =="
+# Each section times its modes against each other and exits 1 when they
+# disagree: per-pass vs full re-check diagnostics and vuln tables across
+# check modes (analysis), scratch vs fork vs fork+forensics campaign
+# reports (replay), Sim_stats under null vs enabled sinks (telemetry),
+# frontier re-validation and <= 50% promotion (halving).
+dune exec --no-build bench/main.exe -- analysis --scale 1 > "$tmp/sec_analysis.txt"
+grep -q 'per-pass = full-recheck' "$tmp/sec_analysis.txt"
+dune exec --no-build bench/main.exe -- replay --scale 1 --faults 4 \
+  > "$tmp/sec_replay.txt"
+grep -q 'reports identical in every mode' "$tmp/sec_replay.txt"
+dune exec --no-build bench/main.exe -- telemetry --scale 1 --fuel 20000 \
+  > "$tmp/sec_telemetry.txt"
+grep -q 'Sim_stats identical under both sinks' "$tmp/sec_telemetry.txt"
+dune exec --no-build bench/main.exe -- halving --grid tiny --scale 1 \
+  --fuel 20000 > "$tmp/sec_halving.txt"
+grep -q 'frontier re-validated at full scale' "$tmp/sec_halving.txt"
+dune exec --no-build bench/main.exe -- frontend --scale 1 > "$tmp/sec_frontend.txt"
+grep -q '^total ' "$tmp/sec_frontend.txt"
+
+echo "== bench smoke: --profile honours flags given after it =="
+dune exec --no-build bench/main.exe -- --profile --scale 1 > "$tmp/profile.txt"
+grep -q 'turnpike opts, scale 1)' "$tmp/profile.txt"
+
+echo "== bench smoke: a bad --csv directory exits 2 before any experiment =="
+status=0
+dune exec --no-build bench/main.exe -- --csv "$tmp/missing/dir" fig18 \
+  > "$tmp/badcsv.txt" 2> "$tmp/badcsv.err" || status=$?
+test "$status" -eq 2
+test ! -s "$tmp/badcsv.txt"
+grep -q -- '--csv' "$tmp/badcsv.err"
 
 echo "== vuln smoke: static ACE/AVF tables at --jobs 1 vs --jobs 4 =="
 # The static vulnerability report must be byte-identical at any job
