@@ -31,43 +31,45 @@ let create ~name ~size_bytes ~assoc ~line_bytes =
   in
   { name; sets; set_bits; line_bits; tick = 0; hits = 0; misses = 0; writebacks = 0 }
 
-let index_tag t addr =
-  let line_addr = addr lsr t.line_bits in
-  let idx = line_addr land ((1 lsl t.set_bits) - 1) in
-  let tag = line_addr lsr t.set_bits in
-  (idx, tag)
-
 let touch t line =
   t.tick <- t.tick + 1;
   line.lru <- t.tick
 
+(* Index loops rather than [Array.iter] closures: a probe allocates
+   nothing. *)
 let access t ~write addr =
-  let idx, tag = index_tag t addr in
-  let set = t.sets.(idx) in
-  let found = ref None in
-  Array.iter (fun l -> if l.valid && l.tag = tag then found := Some l) set;
-  match !found with
-  | Some l ->
+  let line_addr = addr lsr t.line_bits in
+  let set = t.sets.(line_addr land ((1 lsl t.set_bits) - 1)) in
+  let tag = line_addr lsr t.set_bits in
+  let found = ref (-1) in
+  for i = 0 to Array.length set - 1 do
+    let l = set.(i) in
+    if l.valid && l.tag = tag then found := i
+  done;
+  if !found >= 0 then begin
+    let l = set.(!found) in
     touch t l;
     if write then l.dirty <- true;
     t.hits <- t.hits + 1;
     `Hit
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     (* Victim = least recently used (invalid lines first). *)
-    let victim = ref set.(0) in
-    Array.iter
-      (fun l ->
-        if not l.valid then victim := l
-        else if !victim.valid && l.lru < !victim.lru then victim := l)
-      set;
-    let v = !victim in
+    let victim = ref 0 in
+    for i = 0 to Array.length set - 1 do
+      let l = set.(i) and v = set.(!victim) in
+      if not l.valid then victim := i
+      else if v.valid && l.lru < v.lru then victim := i
+    done;
+    let v = set.(!victim) in
     if v.valid && v.dirty then t.writebacks <- t.writebacks + 1;
     v.valid <- true;
     v.tag <- tag;
     v.dirty <- write;
     touch t v;
     `Miss
+  end
 
 let hits t = t.hits
 let misses t = t.misses

@@ -4,11 +4,16 @@
    checkpoint value stays intact. Three logical maps: Available (free
    colors), Used (per un-verified region) and Verified. *)
 
-type cstate = Free | Used of int (* dynamic region *) | Verified
+(* Per (register, color) state: [free], [verified], or the dynamic region
+   that used the color (region ids are never [min_int] or [min_int + 1]).
+   Plain ints keep assignment and verification allocation-free. *)
+let free = min_int
+let verified = min_int + 1
 
 type t = {
   nregs : int;
-  states : cstate array array; (* states.(reg).(color) *)
+  states : int array array; (* states.(reg).(color) *)
+  used : int array; (* colors of each register held by a region *)
   mutable fast_assigned : int;
   mutable fallbacks : int;
 }
@@ -18,79 +23,73 @@ let create ?(colors = Turnpike_ir.Layout.colors) ~nregs () =
   if colors <= 0 then invalid_arg "Coloring.create: colors must be positive";
   {
     nregs;
-    states = Array.init nregs (fun _ -> Array.make colors Free);
+    states = Array.init nregs (fun _ -> Array.make colors free);
+    used = Array.make nregs 0;
     fast_assigned = 0;
     fallbacks = 0;
   }
 
-let copy t = { t with states = Array.map Array.copy t.states }
+let copy t = { t with states = Array.map Array.copy t.states; used = Array.copy t.used }
 
 let in_range t reg = reg >= 0 && reg < t.nregs
 
+(* First color of [row] in state [s], or -1. *)
+let find row s =
+  let c = ref 0 in
+  while !c < Array.length row && row.(!c) <> s do
+    incr c
+  done;
+  if !c < Array.length row then !c else -1
+
+let release_verified row ~except =
+  for c = 0 to Array.length row - 1 do
+    if c <> except && row.(c) = verified then row.(c) <- free
+  done
+
 let try_assign t ~reg ~region =
-  if not (in_range t reg) then None
+  if not (in_range t reg) then -1
   else begin
     let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Free -> Some c | Used _ | Verified -> find (c + 1)
-    in
-    match find 0 with
-    | Some c ->
-      row.(c) <- Used region;
-      t.fast_assigned <- t.fast_assigned + 1;
-      Some c
-    | None ->
-      t.fallbacks <- t.fallbacks + 1;
-      None
+    let c = find row free in
+    if c >= 0 then begin
+      row.(c) <- region;
+      t.used.(reg) <- t.used.(reg) + 1;
+      t.fast_assigned <- t.fast_assigned + 1
+    end
+    else t.fallbacks <- t.fallbacks + 1;
+    c
   end
 
 let on_region_verified t ~region =
   (* For every register checkpointed by [region] through a color: the old
-     verified color returns to the pool and the region's color becomes the
-     verified one. *)
-  Array.iter
-    (fun row ->
-      let newly = ref None in
-      Array.iteri
-        (fun c s -> match s with Used r when r = region -> newly := Some c | _ -> ())
-        row;
-      match !newly with
-      | None -> ()
-      | Some c ->
-        Array.iteri (fun c' s -> if s = Verified then row.(c') <- Free) row;
-        row.(c) <- Verified)
-    t.states
+     verified color returns to the pool and the region's (last) color
+     becomes the verified one. Registers no region holds a color of are
+     skipped without a scan. *)
+  for reg = 0 to t.nregs - 1 do
+    if t.used.(reg) > 0 then begin
+      let row = t.states.(reg) in
+      let newly = ref (-1) in
+      for c = 0 to Array.length row - 1 do
+        if row.(c) = region then newly := c
+      done;
+      if !newly >= 0 then begin
+        release_verified row ~except:(-1);
+        row.(!newly) <- verified;
+        t.used.(reg) <- t.used.(reg) - 1
+      end
+    end
+  done
+
+let to_option c = if c < 0 then None else Some c
 
 let verified_color t ~reg =
-  if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Verified -> Some c | Free | Used _ -> find (c + 1)
-    in
-    find 0
+  if not (in_range t reg) then None else to_option (find t.states.(reg) verified)
 
 let used_color t ~reg ~region =
-  if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Used r when r = region -> Some c | _ -> find (c + 1)
-    in
-    find 0
+  if not (in_range t reg) then None else to_option (find t.states.(reg) region)
 
 let free_color t ~reg =
-  if not (in_range t reg) then None
-  else
-    let row = t.states.(reg) in
-    let rec find c =
-      if c >= Array.length row then None
-      else match row.(c) with Free -> Some c | Used _ | Verified -> find (c + 1)
-    in
-    find 0
+  if not (in_range t reg) then None else to_option (find t.states.(reg) free)
 
 let force_verified t ~reg ~color =
   (* A quarantined (fallback) checkpoint drains into [color] at its
@@ -98,29 +97,28 @@ let force_verified t ~reg ~color =
      other verified color returns to the pool. *)
   if in_range t reg then begin
     let row = t.states.(reg) in
-    Array.iteri (fun c s -> if c <> color && s = Verified then row.(c) <- Free) row;
-    row.(color) <- Verified
+    release_verified row ~except:color;
+    if row.(color) <> free && row.(color) <> verified then t.used.(reg) <- t.used.(reg) - 1;
+    row.(color) <- verified
   end
 
 let invalidate_verified t ~reg =
   (* A quarantined (fallback) checkpoint of [reg] just verified: the base
      slot now holds the verified value, so any previously verified color
      returns to the pool. *)
-  if in_range t reg then
-    Array.iteri
-      (fun c s -> if s = Verified then t.states.(reg).(c) <- Free)
-      t.states.(reg)
+  if in_range t reg then release_verified t.states.(reg) ~except:(-1)
 
 let discard_unverified t ~regions =
   (* Error recovery: colors assigned by regions that will be re-executed
      (or were corrupted) return to the pool. *)
-  Array.iter
-    (fun row ->
+  Array.iteri
+    (fun reg row ->
       Array.iteri
         (fun c s ->
-          match s with
-          | Used r when List.mem r regions -> row.(c) <- Free
-          | Used _ | Free | Verified -> ())
+          if s <> free && s <> verified && List.mem s regions then begin
+            row.(c) <- free;
+            t.used.(reg) <- t.used.(reg) - 1
+          end)
         row)
     t.states
 

@@ -22,10 +22,11 @@ val copy : t -> t
 (** Deep copy: mutating either the original or the copy afterwards leaves
     the other untouched. Used by executor snapshotting. *)
 
-val try_assign : t -> reg:int -> region:int -> int option
+val try_assign : t -> reg:int -> region:int -> int
 (** Take a free color for a checkpoint of [reg] committed by dynamic
-    [region]. [None] (fallback to store-buffer quarantine) when the pool
-    for that register is exhausted or [reg] is out of range. *)
+    [region] and return it; [-1] (fallback to store-buffer quarantine)
+    when the pool for that register is exhausted or [reg] is out of
+    range. Allocation-free. *)
 
 val on_region_verified : t -> region:int -> unit
 (** Region verified: for each register it checkpointed through a color, the

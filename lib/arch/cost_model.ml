@@ -41,7 +41,7 @@ let color_map_bytes ?(colors = Turnpike_ir.Layout.colors) ~nregs () =
   (* 3 maps (AC, UC, VC), log2(colors) bits each, per register. *)
   if colors <= 0 then invalid_arg "Cost_model.color_map_bytes: colors must be positive";
   let bits_per_color =
-    max 1 (int_of_float (ceil (log (float_of_int colors) /. log 2.0)))
+    Int.max 1 (int_of_float (ceil (log (float_of_int colors) /. log 2.0)))
   in
   let bits = 3 * bits_per_color * nregs in
   (bits + 7) / 8

@@ -1,23 +1,17 @@
 (** Region boundary buffer (RBB), paper §2.1 and Fig 2.
 
-    One entry per in-flight (unverified) dynamic region: when the region
-    ended, when it verifies, and which static region it instantiates (the
-    recovery-PC anchor). Regions verify strictly in order. *)
-
-type region = {
-  seq : int;  (** dynamic region sequence number *)
-  static_id : int;  (** static region id of the boundary that opened it *)
-  mutable end_cycle : int option;
-  mutable verify_at : int option;
-}
+    One entry per in-flight (unverified) dynamic region: when it verifies
+    and which static region it instantiates (the recovery-PC anchor).
+    Regions verify strictly in order. Closed regions wait in a ring, so
+    opening, closing and verifying a region allocates nothing. *)
 
 type t
 
 val create : int -> t
 (** [create size]. @raise Invalid_argument on non-positive size. *)
 
-val current : t -> region option
-(** The open (still executing) region, if any. *)
+val has_open : t -> bool
+(** Whether a region is open (still executing). *)
 
 val current_seq : t -> int
 (** Sequence number of the open region, or [-1]. *)
@@ -27,18 +21,22 @@ val unverified_count : t -> int
 
 val is_full : t -> bool
 
-val open_region : t -> static_id:int -> region
-(** @raise Invalid_argument if a region is already open. *)
+val open_region : t -> static_id:int -> int
+(** Open a region and return its dynamic sequence number.
+    @raise Invalid_argument if a region is already open. *)
 
-val close_region : t -> end_cycle:int -> wcdl:int -> region
-(** Close the open region: it will verify at [end_cycle + wcdl].
-    @raise Invalid_argument if no region is open. *)
+val close_region : t -> end_cycle:int -> wcdl:int -> int
+(** Close the open region, returning its sequence number: it will verify
+    at [end_cycle + wcdl]. @raise Invalid_argument if no region is open. *)
 
-val next_verify_time : t -> int option
-(** Verification time of the oldest closed region. *)
+val next_verify_time : t -> int
+(** Verification cycle of the oldest closed region, or [max_int] when
+    none is pending. *)
 
-val pop_verified : t -> cycle:int -> region list
-(** Remove (in order) every closed region verified by [cycle]. *)
+val pop : t -> int
+(** Retire the oldest closed region (once its verification cycle has
+    come) and return its sequence number.
+    @raise Invalid_argument if no closed region is pending. *)
 
-val pending_regions : t -> region list
 val last_verified_static : t -> int option
+(** Static id of the most recently retired region. *)

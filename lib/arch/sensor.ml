@@ -26,14 +26,14 @@ let create ?(die_area_mm2 = 1.0) ~num_sensors ~clock_ghz () =
 let wcdl t =
   let density = float_of_int t.num_sensors /. t.die_area_mm2 in
   let cycles = calibration_constant *. t.clock_ghz /. sqrt density in
-  max 1 (int_of_float (Float.round cycles))
+  Int.max 1 (int_of_float (Float.round cycles))
 
 let sensors_for ~wcdl:target ~clock_ghz ?(die_area_mm2 = 1.0) () =
   if target <= 0 then invalid_arg "Sensor.sensors_for: wcdl must be positive";
   let n =
     die_area_mm2 *. ((calibration_constant *. clock_ghz /. float_of_int target) ** 2.0)
   in
-  max 1 (int_of_float (ceil n))
+  Int.max 1 (int_of_float (ceil n))
 
 let for_wcdl ?(die_area_mm2 = 1.0) ~wcdl:target ~clock_ghz () =
   let num_sensors = sensors_for ~wcdl:target ~clock_ghz ~die_area_mm2 () in

@@ -3,9 +3,18 @@
     Under verification, an entry allocated by a committed store is
     quarantined until its region is verified error-free; entries then drain
     to L1 one per cycle. In baseline mode entries carry a release time from
-    the start. *)
+    the start.
+
+    The buffer is fixed-capacity parallel arrays, oldest entry first; the
+    per-store operations ({!alloc}, {!contains_addr},
+    {!assign_releases}, {!release_up_to}, {!earliest_release}) allocate
+    nothing. *)
 
 type t
+
+val quarantined : int
+(** The [release_at] of an entry that waits for its region's
+    verification. *)
 
 val create : int -> t
 (** [create size]. @raise Invalid_argument on non-positive size. *)
@@ -18,9 +27,10 @@ val sample : t -> unit
 
 val mean_occupancy : t -> float
 
-val alloc : t -> addr:int -> region:int -> is_ckpt:bool -> release_at:int option -> unit
-(** Allocate an entry. [release_at = None] quarantines it until its region
-    is verified. @raise Invalid_argument when full (callers must wait). *)
+val alloc : t -> addr:int -> region:int -> is_ckpt:bool -> release_at:int -> unit
+(** Allocate an entry. [release_at] is its drain cycle, or {!quarantined}
+    to hold it until its region is verified.
+    @raise Invalid_argument when full (callers must wait). *)
 
 val contains_addr : t -> int -> bool
 (** CAM probe used by the in-order fast-release constraint. *)
@@ -29,20 +39,20 @@ val assign_releases : t -> region:int -> start:int -> int
 (** Give the quarantined entries of a verified region consecutive drain
     cycles from [start]; returns the next free drain cycle. *)
 
-type released = {
-  addr : int;
-  is_ckpt : bool;
-  region : int;  (** dynamic region the entry belonged to *)
-  at : int;  (** the drain cycle the entry was assigned *)
-}
-(** What {!release_up_to} reports per drained entry — enough to stamp a
-    timeline release event with its true drain cycle and region. *)
+val release_up_to :
+  t ->
+  int ->
+  'env ->
+  ('env -> addr:int -> is_ckpt:bool -> region:int -> at:int -> unit) ->
+  unit
+(** [release_up_to t cycle env f] removes the entries whose drain cycle
+    is at most [cycle] and calls [f env] on each, oldest first, with its
+    dynamic region and the drain cycle [at] it was assigned. Passing the
+    caller's state as [env] to a closed [f] keeps the call
+    allocation-free. *)
 
-val release_up_to : t -> int -> released list
-(** Remove and return the entries whose release time has passed. *)
-
-val earliest_release : t -> int option
-(** Earliest assigned release time, if any entry has one. *)
+val earliest_release : t -> int
+(** Earliest assigned drain cycle, or [max_int] when no entry has one. *)
 
 val all_unreleasable : t -> current_region:int -> bool
 (** True when the buffer is non-empty and every entry belongs to the

@@ -18,9 +18,11 @@ let create ~name ~entry blocks =
   { name; entry; blocks = tbl; order = List.map (fun (b : Block.t) -> b.label) blocks }
 
 let block f l =
-  match Hashtbl.find_opt f.blocks l with
-  | Some b -> b
-  | None -> invalid_arg (Printf.sprintf "Func.block: unknown label %s in %s" l f.name)
+  (* [find] rather than [find_opt]: the interpreter looks a block up on
+     every step, and this path allocates nothing. *)
+  match Hashtbl.find f.blocks l with
+  | b -> b
+  | exception Not_found -> invalid_arg (Printf.sprintf "Func.block: unknown label %s in %s" l f.name)
 
 let block_opt f l = Hashtbl.find_opt f.blocks l
 

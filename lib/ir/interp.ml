@@ -15,11 +15,15 @@ type state = {
 
 exception Out_of_fuel
 
-let get_reg st r = if Reg.is_zero r then 0 else Option.value (Hashtbl.find_opt st.regs r) ~default:0
+(* Reads of unset registers and memory return 0. [Hashtbl.find] with a
+   handler instead of [find_opt] keeps every read allocation-free. *)
+let get_reg st r =
+  if Reg.is_zero r then 0
+  else match Hashtbl.find st.regs r with v -> v | exception Not_found -> 0
 
 let set_reg st r v = if not (Reg.is_zero r) then Hashtbl.replace st.regs r v
 
-let get_mem st a = Option.value (Hashtbl.find_opt st.mem a) ~default:0
+let get_mem st a = match Hashtbl.find st.mem a with v -> v | exception Not_found -> 0
 
 let set_mem st a v = Hashtbl.replace st.mem a v
 
@@ -54,7 +58,7 @@ let default_ckpt st r =
 type hooks = {
   on_ckpt : state -> Reg.t -> unit;
   on_boundary : state -> int -> unit;
-  on_event : Trace.event -> unit;
+  on_load : state -> int -> unit;
   write_mem : state -> int -> int -> unit;
 }
 
@@ -62,25 +66,44 @@ let no_hooks =
   {
     on_ckpt = default_ckpt;
     on_boundary = (fun _ _ -> ());
-    on_event = (fun _ -> ());
+    on_load = (fun _ _ -> ());
     write_mem = set_mem;
   }
 
-let exec_instr hooks st (i : Instr.t) =
+(* Trace recording appends one event per executed instruction straight
+   into the column buffer. The sources are those [Instr.uses] lists —
+   the non-zero registers among [a] and [b], in that order — without
+   building the list. *)
+let record buf kind ~dst ~aux a b =
+  match buf with
+  | None -> ()
+  | Some buf ->
+    if Reg.is_zero a then
+      if Reg.is_zero b then Trace.Buf.add buf kind ~nsrcs:0 ~dst ~s0:0 ~s1:0 ~aux
+      else Trace.Buf.add buf kind ~nsrcs:1 ~dst ~s0:b ~s1:0 ~aux
+    else if Reg.is_zero b then Trace.Buf.add buf kind ~nsrcs:1 ~dst ~s0:a ~s1:0 ~aux
+    else Trace.Buf.add buf kind ~nsrcs:2 ~dst ~s0:a ~s1:b ~aux
+
+let operand_reg = function Instr.Reg r -> r | Instr.Imm _ -> Reg.zero
+
+let alu_dst = Trace.alu_kind ~has_dst:true
+
+let exec hooks buf st (i : Instr.t) =
   match i with
   | Binop (op, d, a, o) ->
     set_reg st d (Instr.eval_binop op (get_reg st a) (operand_value st o));
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
+    record buf alu_dst ~dst:d ~aux:0 a (operand_reg o)
   | Cmp (c, d, a, o) ->
     set_reg st d (Instr.eval_cmp c (get_reg st a) (operand_value st o));
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
+    record buf alu_dst ~dst:d ~aux:0 a (operand_reg o)
   | Mov (d, o) ->
     set_reg st d (operand_value st o);
-    hooks.on_event (Trace.Alu { dst = Some d; srcs = Instr.uses i })
+    record buf alu_dst ~dst:d ~aux:0 (operand_reg o) Reg.zero
   | Load (d, b, off, kind) ->
     let addr = get_reg st b + off in
     set_reg st d (get_mem st addr);
-    hooks.on_event (Trace.Load { dst = d; srcs = Instr.uses i; addr; kind })
+    hooks.on_load st addr;
+    record buf (Trace.load_kind kind) ~dst:d ~aux:addr b Reg.zero
   | Store (s, b, off, kind) ->
     let addr = get_reg st b + off in
     hooks.write_mem st addr (get_reg st s);
@@ -89,22 +112,38 @@ let exec_instr hooks st (i : Instr.t) =
       | Instr.Spill_mem -> Trace.Regular_spill
       | Instr.App_mem | Instr.Ckpt_mem -> Trace.Regular_app
     in
-    hooks.on_event (Trace.Store { srcs = Instr.uses i; addr; cls })
-  | Ckpt r ->
+    record buf (Trace.store_kind cls) ~dst:0 ~aux:addr s b
+  | Ckpt r -> (
     hooks.on_ckpt st r;
-    hooks.on_event (Trace.Ckpt { src = r })
+    (* A checkpoint always names its register, even the zero register. *)
+    match buf with
+    | Some buf -> Trace.Buf.add buf Trace.ckpt_kind ~nsrcs:1 ~dst:0 ~s0:r ~s1:0 ~aux:0
+    | None -> ())
   | Boundary id ->
     hooks.on_boundary st id;
-    hooks.on_event (Trace.Boundary { region = id })
-  | Nop -> hooks.on_event (Trace.Alu { dst = None; srcs = [] })
+    record buf Trace.boundary_kind ~dst:0 ~aux:id Reg.zero Reg.zero
+  | Nop -> record buf (Trace.alu_kind ~has_dst:false) ~dst:0 ~aux:0 Reg.zero Reg.zero
 
-let step ?(hooks = no_hooks) ?fallthrough func st =
+let exec_instr hooks st i = exec hooks None st i
+
+let falls_to fallthrough func block l =
+  match fallthrough with
+  | Some tbl -> (
+    match Hashtbl.find tbl block with
+    | next -> String.equal next l
+    | exception Not_found -> false)
+  | None -> (
+    match Func.fallthrough_of func block with
+    | Some next -> String.equal next l
+    | None -> false)
+
+let step_with hooks buf fallthrough func st =
   if st.halted then ()
   else begin
     let b = Func.block func st.pc.block in
     let n = Array.length b.Block.body in
     if st.pc.index < n then begin
-      exec_instr hooks st b.Block.body.(st.pc.index);
+      exec hooks buf st b.Block.body.(st.pc.index);
       st.pc <- { st.pc with index = st.pc.index + 1 };
       st.steps <- st.steps + 1
     end
@@ -113,32 +152,28 @@ let step ?(hooks = no_hooks) ?fallthrough func st =
          fetch redirect, and for an unconditional jump not even an
          instruction (region-boundary block splits are PC markers, not
          code). *)
-      let falls_to l =
-        match fallthrough with
-        | Some tbl -> (
-          match Hashtbl.find_opt tbl st.pc.block with
-          | Some next -> String.equal next l
-          | None -> false)
-        | None -> (
-          match Func.fallthrough_of func st.pc.block with
-          | Some next -> String.equal next l
-          | None -> false)
-      in
       let site = Hashtbl.hash st.pc.block in
       (match b.Block.term with
       | Block.Jump l ->
-        if not (falls_to l) then
-          hooks.on_event (Trace.Branch { srcs = []; taken = true; pc = site });
+        if not (falls_to fallthrough func st.pc.block l) then
+          record buf (Trace.branch_kind ~taken:true) ~dst:0 ~aux:site Reg.zero Reg.zero;
         st.pc <- { block = l; index = 0 }
       | Block.Branch (r, l1, l2) ->
         let target = if get_reg st r <> 0 then l1 else l2 in
-        hooks.on_event
-          (Trace.Branch { srcs = [ r ]; taken = not (falls_to target); pc = site });
+        let taken = not (falls_to fallthrough func st.pc.block target) in
+        (* The condition register is a source even when it is the zero
+           register, as [Instr.uses] never sees terminators. *)
+        (match buf with
+        | Some buf ->
+          Trace.Buf.add buf (Trace.branch_kind ~taken) ~nsrcs:1 ~dst:0 ~s0:r ~s1:0 ~aux:site
+        | None -> ());
         st.pc <- { block = target; index = 0 }
       | Block.Ret -> st.halted <- true);
       st.steps <- st.steps + 1
     end
   end
+
+let step ?(hooks = no_hooks) ?fallthrough func st = step_with hooks None fallthrough func st
 
 let run ?(fuel = 10_000_000) ?hooks (prog : Prog.t) =
   let st = init prog in
@@ -152,27 +187,16 @@ let run ?(fuel = 10_000_000) ?hooks (prog : Prog.t) =
   st
 
 let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
-  let events = ref [] and n = ref 0 in
-  let hooks =
-    {
-      no_hooks with
-      on_event =
-        (fun e ->
-          events := e :: !events;
-          incr n);
-    }
-  in
+  let buf = Trace.Buf.create () in
+  let recording = Some buf in
   let st = init prog in
-  let fallthrough = Func.fallthrough_table prog.func in
+  let fallthrough = Some (Func.fallthrough_table prog.func) in
   let budget = ref fuel in
   while (not st.halted) && !budget > 0 do
-    step ~hooks ~fallthrough prog.func st;
+    step_with no_hooks recording fallthrough prog.func st;
     decr budget
   done;
-  let trace =
-    { Trace.events = Array.of_list (List.rev !events); complete = st.halted }
-  in
-  (trace, st)
+  (Trace.Buf.finish buf ~complete:st.halted, st)
 
 let mem_equal a b =
   (* Treat absent bindings as zero on both sides. *)

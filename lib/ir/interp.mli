@@ -20,7 +20,8 @@ type state = {
 exception Out_of_fuel
 
 val get_reg : state -> Reg.t -> int
-(** {!Reg.zero} always reads 0; unset registers read 0. *)
+(** {!Reg.zero} always reads 0; unset registers read 0. Allocation-free,
+    like {!get_mem}. *)
 
 val set_reg : state -> Reg.t -> int -> unit
 (** Writes to {!Reg.zero} are discarded. *)
@@ -39,7 +40,9 @@ type hooks = {
           color-0 checkpoint slot (Turnstile behaviour); the resilience
           engine substitutes color-aware behaviour. *)
   on_boundary : state -> int -> unit;
-  on_event : Trace.event -> unit;
+  on_load : state -> int -> unit;
+      (** Called with the effective address of every executed load, after
+          its register write. *)
   write_mem : state -> int -> int -> unit;
       (** Semantics of a store's memory write. The default writes through;
           the resilience engine substitutes an undo-logged (quarantined)
@@ -65,7 +68,8 @@ val run : ?fuel:int -> ?hooks:hooks -> Prog.t -> state
 (** Run to completion. @raise Out_of_fuel after [fuel] steps (default 1e7). *)
 
 val trace_run : ?fuel:int -> Prog.t -> Trace.t * state
-(** Run (up to [fuel] steps, default 1e6) collecting the dynamic trace.
+(** Run (up to [fuel] steps, default 1e6) collecting the dynamic trace,
+    appended event by event into {!Trace.Buf} columns.
     The trace is marked incomplete instead of raising when fuel runs out —
     mirroring the paper's fixed-length simulation windows. *)
 

@@ -332,13 +332,13 @@ let on_ckpt ex st reg =
     match ex.col with
     | Some col when Reg.is_physical reg -> (
       match Coloring.try_assign col ~reg ~region:r.seq with
-      | Some c ->
+      | -1 ->
+        ex.quarantined <- ex.quarantined + 1;
+        r.ckpts <- Fallback (reg, value) :: r.ckpts
+      | c ->
         ex.colored <- ex.colored + 1;
         r.ckpts <- Colored (reg, c) :: r.ckpts;
-        Interp.set_mem st (slot_addr reg (Color c)) value
-      | None ->
-        ex.quarantined <- ex.quarantined + 1;
-        r.ckpts <- Fallback (reg, value) :: r.ckpts)
+        Interp.set_mem st (slot_addr reg (Color c)) value)
     | Some _ | None ->
       ex.quarantined <- ex.quarantined + 1;
       r.ckpts <- Fallback (reg, value) :: r.ckpts
@@ -679,13 +679,7 @@ let drive ?observer ?oracle ex =
     {
       Interp.on_ckpt = (fun st reg -> on_ckpt ex st reg);
       on_boundary = (fun _ id -> on_boundary ex id);
-      on_event =
-        (fun e ->
-          match e with
-          | Trace.Load { addr; _ } -> on_load ex addr
-          | Trace.Alu _ | Trace.Store _ | Trace.Ckpt _ | Trace.Branch _
-          | Trace.Boundary _ ->
-            ());
+      on_load = (fun _ addr -> on_load ex addr);
       write_mem = (fun st addr v -> on_store ex st addr v);
     }
   in

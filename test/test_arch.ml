@@ -142,38 +142,45 @@ let prop_sensor_latency_in_range =
 (* ------------------------------------------------------------------ *)
 (* Store buffer *)
 
+(* Drained entries as (addr, is_ckpt, region, at), oldest first. *)
+let sb_release sb cycle =
+  let acc = ref [] in
+  Store_buffer.release_up_to sb cycle acc (fun acc ~addr ~is_ckpt ~region ~at ->
+      acc := (addr, is_ckpt, region, at) :: !acc);
+  List.rev !acc
+
 let test_sb_alloc_release () =
   let sb = Store_buffer.create 2 in
   check "empty not full" false (Store_buffer.is_full sb);
-  Store_buffer.alloc sb ~addr:8 ~region:0 ~is_ckpt:false ~release_at:None;
-  Store_buffer.alloc sb ~addr:16 ~region:0 ~is_ckpt:true ~release_at:None;
+  Store_buffer.alloc sb ~addr:8 ~region:0 ~is_ckpt:false ~release_at:Store_buffer.quarantined;
+  Store_buffer.alloc sb ~addr:16 ~region:0 ~is_ckpt:true ~release_at:Store_buffer.quarantined;
   check "now full" true (Store_buffer.is_full sb);
   check "contains addr" true (Store_buffer.contains_addr sb 8);
   check "not contains" false (Store_buffer.contains_addr sb 24);
   Alcotest.check_raises "overflow" (Invalid_argument "Store_buffer.alloc: buffer full")
-    (fun () -> Store_buffer.alloc sb ~addr:24 ~region:1 ~is_ckpt:false ~release_at:None);
+    (fun () -> Store_buffer.alloc sb ~addr:24 ~region:1 ~is_ckpt:false ~release_at:Store_buffer.quarantined);
   let next = Store_buffer.assign_releases sb ~region:0 ~start:100 in
   check_int "drain occupies consecutive cycles" 102 next;
-  let released = Store_buffer.release_up_to sb 102 in
+  let released = sb_release sb 102 in
   Alcotest.(check (list (pair int bool))) "released in order" [ (8, false); (16, true) ]
-    (List.map
-       (fun (r : Store_buffer.released) -> (r.Store_buffer.addr, r.Store_buffer.is_ckpt))
-       released);
+    (List.map (fun (addr, is_ckpt, _, _) -> (addr, is_ckpt)) released);
   Alcotest.(check (list int)) "stamped with their drain cycles" [ 100; 101 ]
-    (List.map (fun (r : Store_buffer.released) -> r.Store_buffer.at) released);
+    (List.map (fun (_, _, _, at) -> at) released);
   check_int "empty after release" 0 (Store_buffer.occupancy sb)
 
 let test_sb_partial_release () =
   let sb = Store_buffer.create 4 in
-  Store_buffer.alloc sb ~addr:8 ~region:0 ~is_ckpt:false ~release_at:(Some 5);
-  Store_buffer.alloc sb ~addr:16 ~region:1 ~is_ckpt:false ~release_at:(Some 9);
-  check_int "only first released" 1 (List.length (Store_buffer.release_up_to sb 7));
-  Alcotest.(check (option int)) "earliest remaining" (Some 9) (Store_buffer.earliest_release sb)
+  Store_buffer.alloc sb ~addr:8 ~region:0 ~is_ckpt:false ~release_at:5;
+  Store_buffer.alloc sb ~addr:16 ~region:1 ~is_ckpt:false ~release_at:9;
+  check_int "only first released" 1 (List.length (sb_release sb 7));
+  check_int "earliest remaining" 9 (Store_buffer.earliest_release sb);
+  ignore (sb_release sb 9);
+  check_int "none left to drain" max_int (Store_buffer.earliest_release sb)
 
 let test_sb_unreleasable_detection () =
   let sb = Store_buffer.create 2 in
-  Store_buffer.alloc sb ~addr:8 ~region:7 ~is_ckpt:false ~release_at:None;
-  Store_buffer.alloc sb ~addr:16 ~region:7 ~is_ckpt:false ~release_at:None;
+  Store_buffer.alloc sb ~addr:8 ~region:7 ~is_ckpt:false ~release_at:Store_buffer.quarantined;
+  Store_buffer.alloc sb ~addr:16 ~region:7 ~is_ckpt:false ~release_at:Store_buffer.quarantined;
   check "deadlock detected" true (Store_buffer.all_unreleasable sb ~current_region:7);
   check "not deadlock for other region" false
     (Store_buffer.all_unreleasable sb ~current_region:8);
@@ -189,19 +196,20 @@ let test_sb_unreleasable_detection () =
 let test_rbb_lifecycle () =
   let rbb = Rbb.create 2 in
   check_int "no open region" (-1) (Rbb.current_seq rbb);
-  let r0 = Rbb.open_region rbb ~static_id:5 in
-  check_int "seq 0" 0 r0.Rbb.seq;
+  check "nothing open" false (Rbb.has_open rbb);
+  check_int "seq 0" 0 (Rbb.open_region rbb ~static_id:5);
   check_int "current" 0 (Rbb.current_seq rbb);
   Alcotest.check_raises "double open" (Invalid_argument "Rbb.open_region: a region is already open")
     (fun () -> ignore (Rbb.open_region rbb ~static_id:6));
-  let r0' = Rbb.close_region rbb ~end_cycle:10 ~wcdl:10 in
-  Alcotest.(check (option int)) "verify time" (Some 20) r0'.Rbb.verify_at;
+  check_int "closed seq 0" 0 (Rbb.close_region rbb ~end_cycle:10 ~wcdl:10);
   ignore (Rbb.open_region rbb ~static_id:6);
   check "full at capacity" true (Rbb.is_full rbb);
-  Alcotest.(check (option int)) "next verify" (Some 20) (Rbb.next_verify_time rbb);
-  check_int "nothing verified early" 0 (List.length (Rbb.pop_verified rbb ~cycle:19));
-  let vs = Rbb.pop_verified rbb ~cycle:20 in
-  check_int "one verified" 1 (List.length vs);
+  check_int "next verify = end + wcdl" 20 (Rbb.next_verify_time rbb);
+  Alcotest.(check (option int)) "nothing verified yet" None (Rbb.last_verified_static rbb);
+  check_int "verified region" 0 (Rbb.pop rbb);
+  check_int "none pending" max_int (Rbb.next_verify_time rbb);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Rbb.pop: no closed region")
+    (fun () -> ignore (Rbb.pop rbb));
   Alcotest.(check (option int)) "last verified static" (Some 5) (Rbb.last_verified_static rbb);
   check "not full anymore" false (Rbb.is_full rbb)
 
@@ -211,9 +219,33 @@ let test_rbb_in_order_verification () =
   ignore (Rbb.close_region rbb ~end_cycle:5 ~wcdl:10);
   ignore (Rbb.open_region rbb ~static_id:1);
   ignore (Rbb.close_region rbb ~end_cycle:8 ~wcdl:10);
-  let vs = Rbb.pop_verified rbb ~cycle:30 in
-  Alcotest.(check (list int)) "verified in order" [ 0; 1 ]
-    (List.map (fun (r : Rbb.region) -> r.Rbb.seq) vs)
+  check_int "first verify" 15 (Rbb.next_verify_time rbb);
+  check_int "oldest first" 0 (Rbb.pop rbb);
+  check_int "second verify" 18 (Rbb.next_verify_time rbb);
+  check_int "then the next" 1 (Rbb.pop rbb)
+
+let test_rbb_ring_grows () =
+  (* A model that never stalls on a full RBB (the OoO core) may let more
+     regions pend than its size; the ring grows and keeps their order. *)
+  let rbb = Rbb.create 2 in
+  for i = 0 to 4 do
+    ignore (Rbb.open_region rbb ~static_id:i);
+    ignore (Rbb.close_region rbb ~end_cycle:i ~wcdl:10)
+  done;
+  ignore (Rbb.pop rbb);
+  for i = 5 to 6 do
+    ignore (Rbb.open_region rbb ~static_id:i);
+    ignore (Rbb.close_region rbb ~end_cycle:i ~wcdl:10)
+  done;
+  let order =
+    List.init 6 (fun _ ->
+        let v = Rbb.next_verify_time rbb in
+        (v, Rbb.pop rbb))
+  in
+  Alcotest.(check (list (pair int int))) "pending kept in order"
+    (List.init 6 (fun i -> (11 + i, i + 1)))
+    order;
+  Alcotest.(check (option int)) "last verified static" (Some 6) (Rbb.last_verified_static rbb)
 
 (* ------------------------------------------------------------------ *)
 (* CLQ *)
@@ -289,7 +321,7 @@ let test_coloring_assign_and_verify () =
   let col = Coloring.create ~nregs:4 () in
   Alcotest.(check (option int)) "nothing verified" None (Coloring.verified_color col ~reg:1);
   (match Coloring.try_assign col ~reg:1 ~region:0 with
-  | Some 0 -> ()
+  | 0 -> ()
   | _ -> Alcotest.fail "first color should be 0");
   Alcotest.(check (option int)) "used color" (Some 0) (Coloring.used_color col ~reg:1 ~region:0);
   Coloring.on_region_verified col ~region:0;
@@ -297,12 +329,12 @@ let test_coloring_assign_and_verify () =
     (Coloring.verified_color col ~reg:1);
   (* Next assign takes a different color; verification recycles the old. *)
   (match Coloring.try_assign col ~reg:1 ~region:1 with
-  | Some 1 -> ()
+  | 1 -> ()
   | _ -> Alcotest.fail "second color should be 1");
   Coloring.on_region_verified col ~region:1;
   Alcotest.(check (option int)) "verified moves" (Some 1) (Coloring.verified_color col ~reg:1);
   (match Coloring.try_assign col ~reg:1 ~region:2 with
-  | Some 0 -> () (* color 0 was recycled *)
+  | 0 -> () (* color 0 was recycled *)
   | _ -> Alcotest.fail "recycled color expected")
 
 let test_coloring_pool_exhaustion () =
@@ -310,12 +342,12 @@ let test_coloring_pool_exhaustion () =
   (* 4 un-verified checkpoints exhaust the pool; the 5th falls back. *)
   for region = 0 to 3 do
     match Coloring.try_assign col ~reg:1 ~region with
-    | Some _ -> ()
-    | None -> Alcotest.fail "pool should not be exhausted yet"
+    | -1 -> Alcotest.fail "pool should not be exhausted yet"
+    | _ -> ()
   done;
   (match Coloring.try_assign col ~reg:1 ~region:4 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "pool should be exhausted");
+  | -1 -> ()
+  | _ -> Alcotest.fail "pool should be exhausted");
   check_int "fallbacks counted" 1 (Coloring.fallbacks col);
   check_int "fast assigns counted" 4 (Coloring.fast_assigned col)
 
@@ -326,7 +358,7 @@ let test_coloring_discard () =
   Coloring.discard_unverified col ~regions:[ 0; 1 ];
   (* All colors free again. *)
   (match Coloring.try_assign col ~reg:1 ~region:2 with
-  | Some 0 -> ()
+  | 0 -> ()
   | _ -> Alcotest.fail "colors should be free after discard")
 
 let test_coloring_force_verified () =
@@ -338,7 +370,7 @@ let test_coloring_force_verified () =
   Coloring.force_verified col ~reg:1 ~color:1;
   Alcotest.(check (option int)) "verified now 1" (Some 1) (Coloring.verified_color col ~reg:1);
   (match Coloring.try_assign col ~reg:1 ~region:5 with
-  | Some 0 -> ()
+  | 0 -> ()
   | _ -> Alcotest.fail "old verified color should be reusable")
 
 let prop_coloring_single_verified =
@@ -355,8 +387,8 @@ let prop_coloring_single_verified =
           match op with
           | 0 ->
             (match Coloring.try_assign col ~reg:0 ~region:!region with
-            | Some _ -> pending := !region :: !pending
-            | None -> ());
+            | -1 -> ()
+            | _ -> pending := !region :: !pending);
             incr region
           | 1 -> (
             match List.rev !pending with
@@ -385,7 +417,7 @@ let prop_coloring_single_verified =
 let alu ?(dst = Some 1) ?(srcs = []) () = Trace.Alu { dst; srcs }
 
 let simulate ?(machine = Machine.baseline) events =
-  Timing.simulate machine { Trace.events = Array.of_list events; complete = true }
+  Timing.simulate machine (Trace.of_events events)
 
 let test_timing_dual_issue () =
   (* 8 independent ALU ops on a 2-wide machine take ~4 cycles. *)
@@ -439,7 +471,7 @@ let test_timing_sb_forwarding () =
       Trace.Load { dst = 1; srcs = []; addr; kind = Turnpike_ir.Instr.App_mem };
       Trace.Alu { dst = Some 2; srcs = [ 1 ] } ]
   in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check_int "forwarded" 1 stats.Sim_stats.sb_forwards;
   let cfg = machine.Machine.mem in
   check "no full miss latency on the use" true
@@ -470,7 +502,7 @@ let test_timing_verification_quarantine () =
     [ boundary 0; store 1; store 2; boundary 1; store 3; store 4; boundary 2;
       store 5 ]
   in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check "sb-full stall occurred" true (stats.Sim_stats.sb_full_stall_cycles > 0);
   check "store 5 waited about a WCDL" true (stats.Sim_stats.cycles >= 30)
 
@@ -491,7 +523,7 @@ let test_timing_war_free_fast_release () =
          (List.init 6 (fun i ->
               [ store (i + 1); Trace.Boundary { region = i + 1 } ]))
   in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check_int "all fast released" 6 stats.Sim_stats.war_free_released;
   check_int "no stalls" 0 stats.Sim_stats.sb_full_stall_cycles
 
@@ -503,7 +535,7 @@ let test_timing_war_dependence_quarantines () =
       Trace.Load { dst = 1; srcs = []; addr = 64; kind = Turnpike_ir.Instr.App_mem };
       Trace.Store { srcs = [ 1 ]; addr = 64; cls = Trace.Regular_app } ]
   in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check_int "quarantined" 1 stats.Sim_stats.quarantined;
   check_int "not fast released" 0 stats.Sim_stats.war_free_released
 
@@ -513,14 +545,14 @@ let test_timing_ckpt_coloring () =
     [ Trace.Boundary { region = 0 }; Trace.Ckpt { src = 3 };
       Trace.Boundary { region = 1 }; Trace.Ckpt { src = 3 } ]
   in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check_int "both colored" 2 stats.Sim_stats.colored_released;
   check_int "none quarantined" 0 stats.Sim_stats.quarantined
 
 let test_timing_ckpt_without_coloring_quarantines () =
   let machine = Machine.turnstile ~wcdl:10 () in
   let events = [ Trace.Boundary { region = 0 }; Trace.Ckpt { src = 3 } ] in
-  let stats = Timing.simulate machine { Trace.events = Array.of_list events; complete = true } in
+  let stats = Timing.simulate machine (Trace.of_events events) in
   check_int "quarantined" 1 stats.Sim_stats.quarantined;
   check_int "counted as ckpt quarantine" 1 stats.Sim_stats.ckpt_quarantined
 
@@ -530,7 +562,7 @@ let test_timing_strict_partitioning_raises () =
   let events = Trace.Boundary { region = 0 } :: List.init 5 (fun i -> store i) in
   check "raises on overfull region" true
     (try
-       ignore (Timing.simulate machine { Trace.events = Array.of_list events; complete = true });
+       ignore (Timing.simulate machine (Trace.of_events events));
        false
      with Timing.Partitioning_violation _ -> true)
 
@@ -541,7 +573,7 @@ let test_timing_wcdl_monotonic () =
     Trace.Boundary { region = 0 }
     :: List.concat (List.init 10 (fun i -> [ store i; store (100 + i); Trace.Boundary { region = i + 1 } ]))
   in
-  let trace = { Trace.events = Array.of_list events; complete = true } in
+  let trace = (Trace.of_events events) in
   let cycles w = (Timing.simulate (Machine.turnstile ~wcdl:w ()) trace).Sim_stats.cycles in
   check "monotonic in wcdl" true (cycles 10 <= cycles 30 && cycles 30 <= cycles 50)
 
@@ -549,7 +581,7 @@ let test_timing_wcdl_monotonic () =
 (* Out-of-order comparison core *)
 
 let ooo_simulate ?(cfg = Ooo_timing.default_config) events =
-  Ooo_timing.simulate cfg { Trace.events = Array.of_list events; complete = true }
+  Ooo_timing.simulate cfg (Trace.of_events events)
 
 let test_ooo_hides_independent_latency () =
   (* A long-latency load overlaps independent ALU work out of order but
@@ -673,6 +705,7 @@ let tests =
     ("store buffer deadlock detection", `Quick, test_sb_unreleasable_detection);
     ("rbb lifecycle", `Quick, test_rbb_lifecycle);
     ("rbb in-order verification", `Quick, test_rbb_in_order_verification);
+    ("rbb ring grows past its size", `Quick, test_rbb_ring_grows);
     ("clq ideal exact matching", `Quick, test_clq_ideal_exact_matching);
     ("clq compact range checking", `Quick, test_clq_compact_range_checking);
     ("clq region isolation", `Quick, test_clq_region_isolation);

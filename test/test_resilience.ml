@@ -240,7 +240,7 @@ let test_detection_near_program_end () =
   (* A fault on the very last steps is still detected (the sensors keep
      watching through the final verification windows). *)
   let c = compiled_of "libquan" in
-  let len = Array.length c.Turnpike.Run.trace.Trace.events in
+  let len = Trace.length c.Turnpike.Run.trace in
   let fault = Fault.single_bit ~at_step:(len - 3) ~reg:1 ~bit:2 in
   let out = Recovery.run ~fault c.Turnpike.Run.compiled in
   check_int "detected after halt" 1 (List.length out.Recovery.detections);
@@ -261,7 +261,7 @@ let test_multi_fault_recovery () =
   (* Several well-separated strikes in one run: each is detected and
      recovered independently, and the output stays bit-exact. *)
   let c = compiled_of "libquan" in
-  let len = Array.length c.Turnpike.Run.trace.Trace.events in
+  let len = Trace.length c.Turnpike.Run.trace in
   let faults =
     List.filteri
       (fun i _ -> i < 3)
