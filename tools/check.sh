@@ -24,7 +24,9 @@
 #                             runs verbatim, that each bench/main.exe cost
 #                             section passes its divergence checks at tiny
 #                             size, that --profile honours later flags and
-#                             a bad --csv directory exits 2, and
+#                             a bad --csv directory exits 2, that the
+#                             benchmark's quick sweep and verify runs
+#                             reproduce every recorded output digest, and
 #                             (advisorily) that the odoc docs build.
 #
 # Exits non-zero on the first failure.
@@ -297,6 +299,25 @@ grep -q 'turnpike-cli report' "$tmp/tutorial/script.sh"
   > tutorial.log)
 test -s "$tmp/tutorial/vuln.json"
 grep -q 'confidence' "$tmp/tutorial/tutorial.log"
+
+echo "== perfbench smoke: quick runs reproduce the recorded digests =="
+# Sweep rows and Sim_stats, the explore frontier, campaign reports and the
+# lint/static/vuln digests must match perfbench/reference.json: every
+# printed *_identical flag must read true.
+if command -v python3 > /dev/null 2>&1; then
+  for w in sweep verify; do
+    python3 perfbench/run.py --workload "$w" --quick --seed 2 --seconds 1 \
+      --trace 1 > "$tmp/perfbench_$w.txt"
+    grep -q '_identical: ' "$tmp/perfbench_$w.txt"
+    if grep '_identical: ' "$tmp/perfbench_$w.txt" | grep -qv '_identical: true$'; then
+      echo "perfbench $w: an output digest differs from the reference" >&2
+      grep '_identical: ' "$tmp/perfbench_$w.txt" >&2
+      exit 1
+    fi
+  done
+else
+  echo "(python3 not found; skipping the perfbench digest smoke)"
+fi
 
 echo "== docs smoke: odoc build (advisory) =="
 if command -v odoc > /dev/null 2>&1; then
