@@ -54,6 +54,22 @@ let clq_bytes ~entries =
 
 let clq ~entries = ram ~bytes:(clq_bytes ~entries)
 
+let dynamic_energy_pj ~sb_entries ?clq_entries ?colors ~nregs (stats : Sim_stats.t) =
+  let cam = 2.0 *. float_of_int stats.quarantined *. (store_buffer ~entries:sb_entries).energy_pj in
+  let cmap =
+    match colors with
+    | Some colors ->
+      float_of_int stats.colored_released *. (color_maps ~colors ~nregs ()).energy_pj
+    | None -> 0.0
+  in
+  let clq =
+    match clq_entries with
+    | Some entries ->
+      float_of_int (stats.loads + Sim_stats.sb_writes stats) *. (clq ~entries).energy_pj
+    | None -> 0.0
+  in
+  cam +. cmap +. clq
+
 let add a b = { area_um2 = a.area_um2 +. b.area_um2; energy_pj = a.energy_pj +. b.energy_pj }
 
 let turnpike_total ~nregs ~clq_entries = add (color_maps ~nregs ()) (clq ~entries:clq_entries)

@@ -26,6 +26,14 @@ val color_maps : ?colors:int -> nregs:int -> unit -> cost
 val clq_bytes : entries:int -> int
 val clq : entries:int -> cost
 
+val dynamic_energy_pj :
+  sb_entries:int -> ?clq_entries:int -> ?colors:int -> nregs:int -> Sim_stats.t -> float
+(** Dynamic energy of the resilience hardware over one run: two
+    store-buffer CAM accesses (allocate + release) per quarantined store,
+    a color-map access per colored checkpoint release when the core colors
+    checkpoints ([colors] per register), and a compact-CLQ access per load
+    or store-buffer write when it has a CLQ ([clq_entries] entries). *)
+
 val add : cost -> cost -> cost
 val ratio : cost -> cost -> cost
 val turnpike_total : nregs:int -> clq_entries:int -> cost

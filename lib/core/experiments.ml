@@ -392,10 +392,10 @@ let unroll_ablation ?(params = default_params) ?(wcdl = 50) () =
 
 (* ------------------------------------------------------------------ *)
 (* Beyond the paper's figures: per-benchmark energy of the resilience
-   hardware. Each quarantined store costs two store-buffer CAM accesses
-   (allocate + release), each colored checkpoint a color-map access, and
-   each CLQ insertion/check a CLQ RAM access; per-access energies come from
-   the Table 1 cost model. Turnpike trades expensive CAM activity for
+   hardware, by the formula the explorer also scores
+   ([Cost_model.dynamic_energy_pj]: store-buffer CAM accesses per
+   quarantined store, color-map and CLQ RAM accesses, per-access energies
+   from the Table 1 cost model). Turnpike trades expensive CAM activity for
    cheap RAM lookups — quantifying the paper's power-efficiency claim. *)
 
 type energy_row = {
@@ -403,14 +403,6 @@ type energy_row = {
   turnstile_pj_per_kinstr : float;
   turnpike_pj_per_kinstr : float;
 }
-
-let resilience_energy stats ~sb_size =
-  let sb = (Cost_model.store_buffer ~entries:sb_size).Cost_model.energy_pj in
-  let cmap = (Cost_model.color_maps ~nregs:32 ()).Cost_model.energy_pj in
-  let clq = (Cost_model.clq ~entries:2).Cost_model.energy_pj in
-  (2.0 *. float_of_int stats.Sim_stats.quarantined *. sb)
-  +. (float_of_int stats.Sim_stats.colored_released *. cmap)
-  +. (float_of_int (stats.Sim_stats.loads + Sim_stats.sb_writes stats) *. clq)
 
 let energy ?(params = default_params) () =
   Turnpike_parallel.grid ~items:(benchmarks ())
@@ -421,9 +413,10 @@ let energy ?(params = default_params) () =
         match scheme.Scheme.clq with
         | None ->
           (* Turnstile has no CLQ and no color maps: only CAM traffic. *)
-          2.0 *. float_of_int r.Run.stats.Sim_stats.quarantined
-          *. (Cost_model.store_buffer ~entries:4).Cost_model.energy_pj
-        | Some _ -> resilience_energy r.Run.stats ~sb_size:4
+          Cost_model.dynamic_energy_pj ~sb_entries:4 ~nregs:32 r.Run.stats
+        | Some _ ->
+          Cost_model.dynamic_energy_pj ~sb_entries:4 ~clq_entries:2
+            ~colors:Turnpike_ir.Layout.colors ~nregs:32 r.Run.stats
       in
       1000.0 *. e /. float_of_int (max 1 r.Run.stats.Sim_stats.instructions))
   |> List.map (fun (b, by) ->

@@ -98,24 +98,16 @@ let area_um2 (p : Design_point.t) =
   in
   sb +. clq +. cmap +. sensors
 
-let dynamic_energy_pj (p : Design_point.t) (stats : Sim_stats.t) =
-  let sb = (Cost_model.store_buffer ~entries:p.Design_point.sb_entries).Cost_model.energy_pj in
-  let cam = 2.0 *. float_of_int stats.Sim_stats.quarantined *. sb in
-  let cmap =
-    if p.Design_point.color_bits > 0 then
-      float_of_int stats.Sim_stats.colored_released
-      *. (Cost_model.color_maps ~colors:(1 lsl p.Design_point.color_bits) ~nregs ())
-           .Cost_model.energy_pj
-    else 0.0
-  in
-  let clq =
-    match Design_point.clq_design p with
-    | Some (Clq.Compact n) ->
-      float_of_int (stats.Sim_stats.loads + Sim_stats.sb_writes stats)
-      *. (Cost_model.clq ~entries:n).Cost_model.energy_pj
-    | Some Clq.Ideal | None -> 0.0
-  in
-  cam +. cmap +. clq
+let dynamic_energy_pj (p : Design_point.t) stats =
+  Cost_model.dynamic_energy_pj ~sb_entries:p.Design_point.sb_entries
+    ?clq_entries:
+      (match Design_point.clq_design p with
+      | Some (Clq.Compact n) -> Some n
+      | Some Clq.Ideal | None -> None)
+    ?colors:
+      (if p.Design_point.color_bits > 0 then Some (1 lsl p.Design_point.color_bits)
+       else None)
+    ~nregs stats
 
 (* ------------------------------------------------------------------ *)
 (* Per-budget evaluation. *)

@@ -5,9 +5,16 @@
 
 type pc = { block : string; index : int }
 
+(* Registers and memory are hash tables in which an absent binding reads
+   as 0. Only this module knows that: every other module reads, writes,
+   copies and compares architectural state through the functions below. *)
+type regs = (Reg.t, int) Hashtbl.t
+
+type mem = (int, int) Hashtbl.t
+
 type state = {
-  regs : (Reg.t, int) Hashtbl.t;
-  mem : (int, int) Hashtbl.t;
+  regs : regs;
+  mem : mem;
   mutable pc : pc;
   mutable steps : int;
   mutable halted : bool;
@@ -15,17 +22,47 @@ type state = {
 
 exception Out_of_fuel
 
-(* Reads of unset registers and memory return 0. [Hashtbl.find] with a
-   handler instead of [find_opt] keeps every read allocation-free. *)
-let get_reg st r =
-  if Reg.is_zero r then 0
-  else match Hashtbl.find st.regs r with v -> v | exception Not_found -> 0
+(* [Hashtbl.find] with a handler instead of [find_opt] keeps every read
+   allocation-free. *)
+let find0 tbl k = match Hashtbl.find tbl k with v -> v | exception Not_found -> 0
+
+let get_reg st r = if Reg.is_zero r then 0 else find0 st.regs r
 
 let set_reg st r v = if not (Reg.is_zero r) then Hashtbl.replace st.regs r v
 
-let get_mem st a = match Hashtbl.find st.mem a with v -> v | exception Not_found -> 0
+let get_mem st a = find0 st.mem a
 
 let set_mem st a v = Hashtbl.replace st.mem a v
+
+let copy st = { st with regs = Hashtbl.copy st.regs; mem = Hashtbl.copy st.mem }
+
+(* Lowest key accepted by [only] whose values differ between two tables;
+   [max_int] when they agree. A differing key holds a non-zero value on at
+   least one side, so each side's scan only looks up its non-zero
+   bindings. *)
+let lowest_diff only a b =
+  let low = ref max_int in
+  let scan x y =
+    Hashtbl.iter
+      (fun k v -> if v <> 0 && k < !low && only k && v <> find0 y k then low := k)
+      x
+  in
+  scan a b;
+  scan b a;
+  !low
+
+let mem_diff ~only a b =
+  let k = lowest_diff only a.mem b.mem in
+  if k = max_int then None else Some k
+
+let everywhere _ = true
+
+let regs_equal a b = lowest_diff everywhere a.regs b.regs = max_int
+
+let mem_equal a b = mem_diff ~only:everywhere a b = None
+
+let app_mem_equal a b =
+  mem_diff ~only:(fun k -> not (Layout.is_ckpt_addr k)) a b = None
 
 let operand_value st = function
   | Instr.Reg r -> get_reg st r
@@ -126,21 +163,26 @@ let exec hooks buf st (i : Instr.t) =
 
 let exec_instr hooks st i = exec hooks None st i
 
-let falls_to fallthrough func block l =
-  match fallthrough with
-  | Some tbl -> (
-    match Hashtbl.find tbl block with
-    | next -> String.equal next l
-    | exception Not_found -> false)
-  | None -> (
-    match Func.fallthrough_of func block with
-    | Some next -> String.equal next l
-    | None -> false)
+(* A function prepared for stepping: its fall-through table is built once
+   instead of on every control transfer. *)
+type code = { func : Func.t; fallthrough : (string, string) Hashtbl.t }
 
-let step_with hooks buf fallthrough func st =
+let prepare func = { func; fallthrough = Func.fallthrough_table func }
+
+let falls_to code block l =
+  match Hashtbl.find code.fallthrough block with
+  | next -> String.equal next l
+  | exception Not_found -> false
+
+let current_instr code st =
+  let b = Func.block code.func st.pc.block in
+  if st.pc.index < Array.length b.Block.body then Some b.Block.body.(st.pc.index)
+  else None
+
+let step_with hooks buf code st =
   if st.halted then ()
   else begin
-    let b = Func.block func st.pc.block in
+    let b = Func.block code.func st.pc.block in
     let n = Array.length b.Block.body in
     if st.pc.index < n then begin
       exec hooks buf st b.Block.body.(st.pc.index);
@@ -155,12 +197,12 @@ let step_with hooks buf fallthrough func st =
       let site = Hashtbl.hash st.pc.block in
       (match b.Block.term with
       | Block.Jump l ->
-        if not (falls_to fallthrough func st.pc.block l) then
+        if not (falls_to code st.pc.block l) then
           record buf (Trace.branch_kind ~taken:true) ~dst:0 ~aux:site Reg.zero Reg.zero;
         st.pc <- { block = l; index = 0 }
       | Block.Branch (r, l1, l2) ->
         let target = if get_reg st r <> 0 then l1 else l2 in
-        let taken = not (falls_to fallthrough func st.pc.block target) in
+        let taken = not (falls_to code st.pc.block target) in
         (* The condition register is a source even when it is the zero
            register, as [Instr.uses] never sees terminators. *)
         (match buf with
@@ -173,52 +215,24 @@ let step_with hooks buf fallthrough func st =
     end
   end
 
-let step ?(hooks = no_hooks) ?fallthrough func st = step_with hooks None fallthrough func st
+let step ?(hooks = no_hooks) code st = step_with hooks None code st
 
-let run ?(fuel = 10_000_000) ?hooks (prog : Prog.t) =
+(* The one fuel loop: a fresh state stepped until it halts or has taken
+   [fuel] steps. *)
+let run_fuel ~fuel hooks buf (prog : Prog.t) =
   let st = init prog in
-  let fallthrough = Func.fallthrough_table prog.func in
-  let budget = ref fuel in
-  while (not st.halted) && !budget > 0 do
-    step ?hooks ~fallthrough prog.func st;
-    decr budget
+  let code = prepare prog.func in
+  while (not st.halted) && st.steps < fuel do
+    step_with hooks buf code st
   done;
+  st
+
+let run ?(fuel = 10_000_000) ?(hooks = no_hooks) prog =
+  let st = run_fuel ~fuel hooks None prog in
   if not st.halted then raise Out_of_fuel;
   st
 
-let trace_run ?(fuel = 1_000_000) (prog : Prog.t) =
+let trace_run ?(fuel = 1_000_000) prog =
   let buf = Trace.Buf.create () in
-  let recording = Some buf in
-  let st = init prog in
-  let fallthrough = Some (Func.fallthrough_table prog.func) in
-  let budget = ref fuel in
-  while (not st.halted) && !budget > 0 do
-    step_with no_hooks recording fallthrough prog.func st;
-    decr budget
-  done;
+  let st = run_fuel ~fuel no_hooks (Some buf) prog in
   (Trace.Buf.finish buf ~complete:st.halted, st)
-
-let mem_equal a b =
-  (* Treat absent bindings as zero on both sides. *)
-  let ok = ref true in
-  let check m m' = Hashtbl.iter (fun k v -> if v <> 0 && Option.value (Hashtbl.find_opt m' k) ~default:0 <> v then ok := false) m in
-  check a.mem b.mem;
-  check b.mem a.mem;
-  !ok
-
-let app_mem_equal a b =
-  (* Like [mem_equal] but restricted to the application data segment:
-     checkpoint slots legitimately differ across resilience schemes. *)
-  let ok = ref true in
-  let relevant k = not (Layout.is_ckpt_addr k) in
-  let check m m' =
-    Hashtbl.iter
-      (fun k v ->
-        if relevant k && v <> 0
-           && Option.value (Hashtbl.find_opt m' k) ~default:0 <> v
-        then ok := false)
-      m
-  in
-  check a.mem b.mem;
-  check b.mem a.mem;
-  !ok

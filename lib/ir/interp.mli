@@ -9,9 +9,16 @@ type pc = { block : string; index : int }
 (** Program counter: a block label and an instruction index within it;
     index [= Array.length body] denotes the terminator. *)
 
+type regs
+(** The register file. Abstract: only this module knows its
+    representation. An unset register reads 0. *)
+
+type mem
+(** Data memory. Abstract, like {!regs}. An unset address reads 0. *)
+
 type state = {
-  regs : (Reg.t, int) Hashtbl.t;
-  mem : (int, int) Hashtbl.t;
+  regs : regs;
+  mem : mem;
   mutable pc : pc;
   mutable steps : int;
   mutable halted : bool;
@@ -33,6 +40,27 @@ val set_mem : state -> int -> int -> unit
 
 val init : Prog.t -> state
 (** Fresh state with the program's memory image and input registers. *)
+
+val copy : state -> state
+(** An independent copy: fresh registers and memory, same [pc], [steps]
+    and [halted]. *)
+
+val mem_diff : only:(int -> bool) -> state -> state -> int option
+(** The lowest address accepted by [only] whose value differs between the
+    two states, absent bindings reading as 0; [None] when they agree on
+    every such address. *)
+
+val regs_equal : state -> state -> bool
+(** Register-file equality, unset registers reading as 0. *)
+
+val mem_equal : state -> state -> bool
+(** Memory equality at every address ([mem_diff] accepting all). *)
+
+val app_mem_equal : state -> state -> bool
+(** Memory equality at every non-checkpoint address: the data segment
+    and the spill slots. Checkpoint slots legitimately differ across
+    resilience schemes. SDC verification ([Verifier.compare_states])
+    compares the data segment alone. *)
 
 type hooks = {
   on_ckpt : state -> Reg.t -> unit;
@@ -56,13 +84,20 @@ val default_ckpt : state -> Reg.t -> unit
 val exec_instr : hooks -> state -> Instr.t -> unit
 (** Execute one instruction's data semantics (no PC update). *)
 
-val step : ?hooks:hooks -> ?fallthrough:(string, string) Hashtbl.t -> Func.t -> state -> unit
+type code
+(** A function prepared for stepping (its fall-through table built once). *)
+
+val prepare : Func.t -> code
+
+val current_instr : code -> state -> Instr.t option
+(** The body instruction at the current PC; [None] at a terminator. *)
+
+val step : ?hooks:hooks -> code -> state -> unit
 (** Execute the instruction (or terminator) at the current PC and advance.
     No-op once [halted]. A control transfer to the layout successor costs
     no fetch redirect: a fall-through unconditional jump emits no event
     (boundary block splits are PC markers, not code), and a branch's
-    [taken] flag means "fetch redirected". [fallthrough] (from
-    {!Func.fallthrough_table}) avoids recomputing layout per step. *)
+    [taken] flag means "fetch redirected". *)
 
 val run : ?fuel:int -> ?hooks:hooks -> Prog.t -> state
 (** Run to completion. @raise Out_of_fuel after [fuel] steps (default 1e7). *)
@@ -72,10 +107,3 @@ val trace_run : ?fuel:int -> Prog.t -> Trace.t * state
     appended event by event into {!Trace.Buf} columns.
     The trace is marked incomplete instead of raising when fuel runs out —
     mirroring the paper's fixed-length simulation windows. *)
-
-val mem_equal : state -> state -> bool
-(** Memory equality, treating absent bindings as zero. *)
-
-val app_mem_equal : state -> state -> bool
-(** Memory equality restricted to non-checkpoint addresses — the
-    observable application state compared by SDC verification. *)

@@ -102,11 +102,12 @@ type dynamic_region = {
 type exec = {
   cfg : config;
   compiled : Pass_pipeline.t;
+  code : Interp.code; (* the compiled function, prepared for stepping once *)
   st : Interp.state;
   clq : Clq.t option;
   col : Coloring.t option;
   verified_loc : (Reg.t, slot_loc) Hashtbl.t;
-  claim_bypass : (string * int, unit) Hashtbl.t;
+  claim_bypass : (string * int, unit) Hashtbl.t; (* read-only, shared by copies *)
   claim_direct : (string * int, unit) Hashtbl.t;
   mutable open_region : dynamic_region option;
   mutable pending : dynamic_region list; (* closed, unverified; oldest first *)
@@ -395,21 +396,6 @@ let recover ex ~kind =
      checkpoint storage (reconstructing pruned ones). *)
   (match Pass_pipeline.region_info ex.compiled restart.static_id with
   | Some info ->
-    if Sys.getenv_opt "TURNPIKE_DEBUG_RECOVERY" <> None then
-      Printf.eprintf
-        "[recover] step=%d restart seq=%d static=%d head=%s live_in=[%s] discarded=[%s]\n%!"
-        now restart.seq restart.static_id info.Pass_pipeline.head
-        (String.concat ","
-           (List.map
-              (fun r ->
-                Printf.sprintf "%s<-%d" (Reg.to_string r) (restore_register ex r))
-              info.Pass_pipeline.live_in))
-        (String.concat ","
-           (List.map
-              (fun (r : dynamic_region) ->
-                Printf.sprintf "%d:s%d@%s" r.seq r.static_id
-                  (match r.end_step with Some e -> string_of_int e | None -> "?"))
-              discarded));
     if Telemetry.enabled ex.tel then begin
       (* [delta] is still the pre-recovery rebase here, so [now - delta]
          is the position the fault-free run had reached; the reexec span
@@ -448,21 +434,14 @@ let recover ex ~kind =
    model: the struck register poisons derived values; using any tainted
    register for addressing triggers immediate (parity) detection before
    the access executes. *)
-let instr_at (ex : exec) =
-  let func = ex.compiled.Pass_pipeline.prog.Prog.func in
-  let b = Func.block func ex.st.Interp.pc.Interp.block in
-  let n = Array.length b.Block.body in
-  if ex.st.Interp.pc.Interp.index < n then Some b.Block.body.(ex.st.Interp.pc.Interp.index)
-  else None
-
 let address_uses_taint ex =
-  match instr_at ex with
+  match Interp.current_instr ex.code ex.st with
   | Some (Instr.Load (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some (Instr.Store (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some _ | None -> false
 
 let propagate_taint ex =
-  match instr_at ex with
+  match Interp.current_instr ex.code ex.st with
   | Some i ->
     let input_tainted =
       List.exists (fun r -> Reg.Set.mem r ex.tainted) (Instr.uses i)
@@ -508,6 +487,7 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
   {
     cfg = config;
     compiled;
+    code = Interp.prepare compiled.Pass_pipeline.prog.Prog.func;
     st = Interp.init compiled.Pass_pipeline.prog;
     clq = Option.map Clq.create config.clq;
     col = (if config.coloring then Some (Coloring.create ~nregs:config.nregs ()) else None);
@@ -538,112 +518,44 @@ let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshots: a deep copy of the whole executor (interpreter state plus
-   region/quarantine/CLQ/coloring bookkeeping) taken at the top of the
-   step loop, from which faulted runs can be forked byte-identically. *)
+(* Snapshots. A fault-free pilot at the top of the step loop holds exactly
+   the state a fork starts from: no taint, no detection pending, no
+   recoveries, [delta] 0, and [budget = fuel - steps] (a loop invariant:
+   the budget drops exactly when [Interp.step] counts a step), which is
+   the budget the from-scratch run has there. A snapshot is therefore a
+   frozen copy of the executor itself, and a fork is a copy of the
+   snapshot with its fault and sink filled in. *)
 
-type snapshot = {
-  snap_step : int; (* pilot [st.steps] = fault-free position at capture *)
-  s_regs : (Reg.t, int) Hashtbl.t;
-  s_mem : (int, int) Hashtbl.t;
-  s_pc : Interp.pc;
-  s_clq : Clq.t option;
-  s_col : Coloring.t option;
-  s_verified_loc : (Reg.t, slot_loc) Hashtbl.t;
-  s_open_region : dynamic_region option;
-  s_pending : dynamic_region list;
-  s_next_seq : int;
-  s_fast_released : int;
-  s_colored : int;
-  s_quarantined : int;
-}
+type snapshot = exec
 
-let snapshot_step s = s.snap_step
+let snapshot_step (s : snapshot) = s.st.Interp.steps
 
 (* The undo/ckpt lists are immutable and safely shared; the record's
    mutable cells must be fresh. *)
 let copy_region (r : dynamic_region) = { r with end_step = r.end_step }
 
-let capture ex =
+(* Every mutable part is copied; the config, the compiled program, its
+   prepared code and the read-only claim tables are shared. *)
+let copy_exec ex =
   {
-    snap_step = ex.st.Interp.steps;
-    s_regs = Hashtbl.copy ex.st.Interp.regs;
-    s_mem = Hashtbl.copy ex.st.Interp.mem;
-    s_pc = ex.st.Interp.pc;
-    s_clq = Option.map Clq.copy ex.clq;
-    s_col = Option.map Coloring.copy ex.col;
-    s_verified_loc = Hashtbl.copy ex.verified_loc;
-    s_open_region = Option.map copy_region ex.open_region;
-    s_pending = List.map copy_region ex.pending;
-    s_next_seq = ex.next_seq;
-    s_fast_released = ex.fast_released;
-    s_colored = ex.colored;
-    s_quarantined = ex.quarantined;
-  }
-
-let of_snapshot ?(config = default_config) ?(tel = Telemetry.null)
-    (compiled : Pass_pipeline.t) (s : snapshot) ~fault =
-  {
-    cfg = config;
-    compiled;
-    st =
-      {
-        Interp.regs = Hashtbl.copy s.s_regs;
-        mem = Hashtbl.copy s.s_mem;
-        pc = s.s_pc;
-        steps = s.snap_step;
-        halted = false;
-      };
-    clq = Option.map Clq.copy s.s_clq;
-    col = Option.map Coloring.copy s.s_col;
-    verified_loc = Hashtbl.copy s.s_verified_loc;
-    claim_bypass =
-      claim_table config.honor_static_claims
-        compiled.Pass_pipeline.claims.Turnpike_compiler.Claims.bypass_stores;
-    claim_direct =
-      claim_table config.honor_static_claims
-        compiled.Pass_pipeline.claims.Turnpike_compiler.Claims.direct_ckpts;
-    open_region = Option.map copy_region s.s_open_region;
-    pending = List.map copy_region s.s_pending;
-    next_seq = s.s_next_seq;
-    tainted = Reg.Set.empty;
-    remaining = [ fault ];
-    detection_step = max_int;
-    (* [budget = fuel - steps] is a loop invariant (the budget is decremented
-       exactly when [Interp.step] increments [steps]), so a fork inherits
-       exactly the budget the from-scratch run would have here. *)
-    budget = config.fuel - s.snap_step;
-    delta = 0;
-    recoveries = 0;
-    detections = [];
-    fast_released = s.s_fast_released;
-    colored = s.s_colored;
-    quarantined = s.s_quarantined;
-    tel;
-    f_strike_pos = -1;
-    f_taint_use_done = false;
-    f_reconverged = false;
+    ex with
+    st = Interp.copy ex.st;
+    clq = Option.map Clq.copy ex.clq;
+    col = Option.map Coloring.copy ex.col;
+    verified_loc = Hashtbl.copy ex.verified_loc;
+    open_region = Option.map copy_region ex.open_region;
+    pending = List.map copy_region ex.pending;
   }
 
 (* The pilot run a fork measures convergence against: its snapshots (in
-   ascending [snap_step] order) and its final, drained state. *)
+   ascending step order) and its final, drained state. *)
 type oracle = { snaps : snapshot array; final_steps : int; final_state : Interp.state }
 
-(* Equality treating absent bindings as zero, as the interpreter does. *)
-let tables_agree ?(skip = fun _ -> false) a b =
-  let covered a b =
-    Hashtbl.fold
-      (fun k v ok ->
-        ok && (skip k || Option.value (Hashtbl.find_opt b k) ~default:0 = v))
-      a true
-  in
-  covered a b && covered b a
-
 let converged ex (s : snapshot) =
-  ex.st.Interp.pc = s.s_pc
+  ex.st.Interp.pc = s.st.Interp.pc
   && (not ex.st.Interp.halted)
-  && tables_agree ex.st.Interp.regs s.s_regs
-  && tables_agree ~skip:Layout.is_ckpt_addr ex.st.Interp.mem s.s_mem
+  && Interp.regs_equal ex.st s.st
+  && Interp.app_mem_equal ex.st s.st
 
 let drain_at_exit ex =
   (* Every region is error-free once the program has halted cleanly (no
@@ -673,8 +585,6 @@ let finish ex =
 
 let drive ?observer ?oracle ex =
   let st = ex.st in
-  let func = ex.compiled.Pass_pipeline.prog.Prog.func in
-  let fallthrough = Func.fallthrough_table func in
   let hooks =
     {
       Interp.on_ckpt = (fun st reg -> on_ckpt ex st reg);
@@ -691,7 +601,7 @@ let drive ?observer ?oracle ex =
   (match oracle with
   | Some o ->
     let pos0 = position ex in
-    while !oidx < Array.length o.snaps && o.snaps.(!oidx).snap_step <= pos0 do
+    while !oidx < Array.length o.snaps && snapshot_step o.snaps.(!oidx) <= pos0 do
       incr oidx
     done
   | None -> ());
@@ -741,10 +651,10 @@ let drive ?observer ?oracle ex =
            && Reg.Set.is_empty ex.tainted ->
       let pos = position ex in
       let n = Array.length o.snaps in
-      while !oidx < n && o.snaps.(!oidx).snap_step < pos do
+      while !oidx < n && snapshot_step o.snaps.(!oidx) < pos do
         incr oidx
       done;
-      if !oidx < n && o.snaps.(!oidx).snap_step = pos then begin
+      if !oidx < n && snapshot_step o.snaps.(!oidx) = pos then begin
         if converged ex o.snaps.(!oidx) then begin
           let left = o.final_steps - pos in
           if ex.budget >= left then early := Some left
@@ -806,7 +716,7 @@ let drive ?observer ?oracle ex =
         end
         else begin
           propagate_taint ex;
-          Interp.step ~hooks ~fallthrough func st;
+          Interp.step ~hooks ex.code st;
           ex.budget <- ex.budget - 1
         end
       end
@@ -845,13 +755,12 @@ let capture_pilot ?(config = default_config) ~every (compiled : Pass_pipeline.t)
   (* A fault-free run never recovers, so [steps] strictly increases across
      loop iterations and each multiple of [every] is captured once. *)
   let observer ex =
-    if ex.st.Interp.steps mod every = 0 then snaps := capture ex :: !snaps
+    if ex.st.Interp.steps mod every = 0 then snaps := copy_exec ex :: !snaps
   in
   let outcome = drive ~observer (make_exec ~config compiled) in
   (outcome, Array.of_list (List.rev !snaps))
 
-let resume ?(config = default_config) ?tel ~snapshots ~pilot_outcome ~from ~fault
-    compiled =
+let resume ?(tel = Telemetry.null) ~snapshots ~pilot_outcome ~from fault =
   let oracle =
     {
       snaps = snapshots;
@@ -859,4 +768,4 @@ let resume ?(config = default_config) ?tel ~snapshots ~pilot_outcome ~from ~faul
       final_state = pilot_outcome.state;
     }
   in
-  drive ~oracle (of_snapshot ~config ?tel compiled from ~fault)
+  drive ~oracle { (copy_exec from) with remaining = [ fault ]; tel }

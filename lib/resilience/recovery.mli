@@ -96,15 +96,16 @@ val run :
 
 (** {2 Snapshot / fork support}
 
-    A {e pilot} is a fault-free run that deep-copies the whole executor —
-    interpreter registers/memory/pc plus region, quarantine, CLQ and
-    coloring bookkeeping — every [every] steps. A faulted run forked from
-    the snapshot nearest (at or before) its strike site produces exactly
-    the outcome of a from-scratch {!run} with the same fault: the
-    pre-strike prefix of the faulted run is identical to the pilot, and
-    once the fault's effects have fully healed the fork recognises that its
-    state has re-converged with a later pilot snapshot and adopts the
-    pilot's suffix instead of re-executing it. *)
+    A {e pilot} is a fault-free run that captures a frozen copy of the
+    whole executor — interpreter state plus region, quarantine, CLQ and
+    coloring bookkeeping, with the pilot's config and compiled program —
+    every [every] steps. A faulted run forked from the snapshot nearest
+    (at or before) its strike site produces exactly the outcome of a
+    from-scratch {!run} with the same fault: the pre-strike prefix of the
+    faulted run is identical to the pilot, and once the fault's effects
+    have fully healed the fork recognises that its state has re-converged
+    with a later pilot snapshot and adopts the pilot's suffix instead of
+    re-executing it. *)
 
 type snapshot
 
@@ -118,17 +119,16 @@ val capture_pilot :
     @raise Invalid_argument when [every <= 0]. *)
 
 val resume :
-  ?config:config ->
   ?tel:Turnpike_telemetry.sink ->
   snapshots:snapshot array ->
   pilot_outcome:outcome ->
   from:snapshot ->
-  fault:Fault.t ->
-  Pass_pipeline.t ->
+  Fault.t ->
   outcome
-(** Fork a single-fault run from [from] (which must satisfy
-    [snapshot_step from <= fault.at_step]) recorded by a {!capture_pilot}
-    of the same [config] and compiled program. The outcome's [state],
+(** Fork a run of one [fault] from [from] (which must satisfy
+    [snapshot_step from <= fault.at_step]) recorded, with [snapshots] and
+    [pilot_outcome], by one {!capture_pilot}; the fork runs under that
+    pilot's config and compiled program. The outcome's [state],
     [recoveries] and [detections] are byte-identical to
     [run ~fault ~config]; on a convergence early exit the release/ckpt
     counters reflect only the work the fork actually executed. [tel]

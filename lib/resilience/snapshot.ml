@@ -37,7 +37,6 @@ let nearest plan ~step =
   snaps.(!lo)
 
 let fork ?tel plan (fault : Fault.t) =
-  Recovery.resume ~config:plan.config ?tel ~snapshots:plan.snaps
-    ~pilot_outcome:plan.pilot
+  Recovery.resume ?tel ~snapshots:plan.snaps ~pilot_outcome:plan.pilot
     ~from:(nearest plan ~step:fault.Fault.at_step)
-    ~fault plan.compiled
+    fault

@@ -183,9 +183,9 @@ let test_func_add_block_and_fallthrough () =
   in
   Func.add_block f (Block.create "mid") ~after:"a";
   check_list "order" [ "a"; "mid"; "b" ] (Func.labels f);
-  Alcotest.(check (option string)) "fallthrough a" (Some "mid") (Func.fallthrough_of f "a");
-  Alcotest.(check (option string)) "fallthrough b" None (Func.fallthrough_of f "b");
   let tbl = Func.fallthrough_table f in
+  Alcotest.(check (option string)) "fallthrough a" (Some "mid") (Hashtbl.find_opt tbl "a");
+  Alcotest.(check (option string)) "fallthrough b" None (Hashtbl.find_opt tbl "b");
   Alcotest.(check (option string)) "table" (Some "b") (Hashtbl.find_opt tbl "mid")
 
 (* ------------------------------------------------------------------ *)
@@ -397,7 +397,38 @@ let test_interp_mem_equal () =
   (* Checkpoint-space differences are ignored by app_mem_equal. *)
   let c = Interp.run prog and d = Interp.run prog in
   Interp.set_mem c (Layout.ckpt_slot ~reg:1 ~color:0) 5;
-  check "ckpt space excluded" true (Interp.app_mem_equal c d)
+  check "ckpt space excluded" true (Interp.app_mem_equal c d);
+  (* A copy shares nothing mutable with its source. *)
+  let src = Interp.run prog in
+  let cp = Interp.copy src in
+  Interp.set_reg cp 7 99;
+  Interp.set_mem cp (Layout.data_base + 64) 99;
+  cp.Interp.pc <- { Interp.block = "head"; index = 1 };
+  check_int "source reg untouched" 0 (Interp.get_reg src 7);
+  check_int "source mem untouched" 0 (Interp.get_mem src (Layout.data_base + 64));
+  check "source pc untouched" true (src.Interp.pc <> cp.Interp.pc);
+  Interp.set_reg src 8 5;
+  check_int "copy reg untouched" 0 (Interp.get_reg cp 8);
+  check "copy regs differ after writes" false (Interp.regs_equal src cp);
+  (* The comparison names the lowest differing address. *)
+  let e = Interp.run prog and f = Interp.run prog in
+  let addr k = Layout.data_base + 0x1000 + (k * Layout.word) in
+  Interp.set_mem e (addr 9) 1;
+  Interp.set_mem f (addr 3) 2;
+  Interp.set_mem e (addr 5) 4;
+  Alcotest.(check (option int)) "lowest differing address" (Some (addr 3))
+    (Interp.mem_diff ~only:(fun _ -> true) e f);
+  (* An absent binding and an explicit 0 are the same value. *)
+  let g = Interp.run prog and h = Interp.run prog in
+  Interp.set_mem g (addr 11) 0;
+  Interp.set_reg g 9 0;
+  check "absent memory = 0" true (Interp.mem_equal g h && Interp.mem_equal h g);
+  check "absent register = 0" true (Interp.regs_equal g h && Interp.regs_equal h g);
+  (* The predicate excludes addresses from the comparison. *)
+  Alcotest.(check (option int)) "excluded addresses ignored" (Some (addr 9))
+    (Interp.mem_diff ~only:(fun k -> k <> addr 3 && k <> addr 5) e f);
+  Alcotest.(check (option int)) "all differences excluded" None
+    (Interp.mem_diff ~only:(fun k -> k < addr 3) e f)
 
 (* Every event shape, with zero, negative and virtual registers, survives
    the columnar encoding: the decoded view is the event put in. *)

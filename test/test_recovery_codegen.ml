@@ -14,6 +14,11 @@ let compiled_of name =
   let prog = b.Suite.build ~scale:1 in
   Pass_pipeline.compile ~opts:Pass_pipeline.turnpike_opts prog
 
+(* A state with no registers set and empty memory. *)
+let blank_state () =
+  Interp.init
+    (Prog.create (Func.create ~name:"empty" ~entry:"e" [ Turnpike_ir.Block.create "e" ]))
+
 (* Execute a recovery block's straight-line body over a state. *)
 let exec_block st (blk : Recovery_codegen.block) =
   List.iter (Interp.exec_instr Interp.no_hooks st) blk.Recovery_codegen.body
@@ -61,16 +66,14 @@ let test_codegen_matches_expression_eval name =
       match Pass_pipeline.region_info c blk.Recovery_codegen.region with
       | None -> ()
       | Some info ->
-        (* (a) run the block on a scratch state sharing the final memory. *)
-        let st =
-          {
-            Interp.regs = Hashtbl.create 16;
-            mem = final.Interp.mem;
-            pc = { Interp.block = "x"; index = 0 };
-            steps = 0;
-            halted = false;
-          }
-        in
+        (* (a) run the block on a blank state holding the final run's
+           color-0 checkpoint slots of every register the program names:
+           the only memory a recovery block reads before writing it. *)
+        let st = blank_state () in
+        for r = 1 to Func.max_reg c.Pass_pipeline.prog.Prog.func do
+          let slot = Layout.ckpt_slot ~reg:r ~color:0 in
+          Interp.set_mem st slot (Interp.get_mem final slot)
+        done;
         exec_block st blk;
         (* (b) engine-style restore: slot read or expression eval. *)
         let read_slot r = Interp.get_mem final (Layout.ckpt_slot ~reg:r ~color:0) in
@@ -120,7 +123,7 @@ let test_select_lowering_direct () =
           }
         ~nregs:32
     in
-    let st = Interp.init (Prog.create (Func.create ~name:"empty" ~entry:"e" [ Turnpike_ir.Block.create "e" ])) in
+    let st = blank_state () in
     exec_block st (List.hd blocks);
     Interp.get_reg st 5
   in
@@ -174,15 +177,7 @@ let prop_lowering_matches_eval =
     (QCheck.make expr_gen)
     (fun expr ->
       (* Populate slots 1..8 with arbitrary-ish deterministic values. *)
-      let st =
-        {
-          Interp.regs = Hashtbl.create 8;
-          mem = Hashtbl.create 64;
-          pc = { Interp.block = "x"; index = 0 };
-          steps = 0;
-          halted = false;
-        }
-      in
+      let st = blank_state () in
       for r = 1 to 8 do
         Interp.set_mem st (Layout.ckpt_slot ~reg:r ~color:0) ((r * 37) - 100)
       done;

@@ -371,22 +371,44 @@ let test_snapshot_fork_byte_identical () =
   let compiled = c.Turnpike.Run.compiled in
   let golden = c.Turnpike.Run.final in
   let faults = Injector.campaign ~seed:9 ~count:24 c.Turnpike.Run.trace in
-  let plan = Snapshot.record ~every:256 compiled in
-  check "pilot run is fault-free sound" true
-    (Verifier.compare_states ~golden
-       ~actual:(Snapshot.pilot_outcome plan).Recovery.state
-    = Verifier.Match);
-  List.iteri
-    (fun i fault ->
-      let scratch = Verifier.run_one ~golden ~compiled fault in
-      let forked = Verifier.run_one ~plan ~golden ~compiled fault in
-      check (Printf.sprintf "fault %d fork = scratch" i) true (scratch = forked))
-    faults;
-  let scratch_1 = Verifier.run_campaign ~jobs:1 ~golden ~compiled faults in
-  let forked_1 = Verifier.run_campaign ~jobs:1 ~plan ~golden ~compiled faults in
-  let forked_4 = Verifier.run_campaign ~jobs:4 ~plan ~golden ~compiled faults in
-  check "campaign report fork = scratch (jobs 1)" true (scratch_1 = forked_1);
-  check "campaign report identical at jobs 1 and 4" true (forked_1 = forked_4)
+  let fork_matches_scratch (label, config) =
+    let plan = Snapshot.record ~config ~every:256 compiled in
+    check (label ^ ": pilot run is fault-free sound") true
+      (Verifier.compare_states ~golden
+         ~actual:(Snapshot.pilot_outcome plan).Recovery.state
+      = Verifier.Match);
+    List.iteri
+      (fun i fault ->
+        let scratch = Verifier.run_one ~config ~golden ~compiled fault in
+        let forked = Verifier.run_one ~config ~plan ~golden ~compiled fault in
+        check (Printf.sprintf "%s: fault %d fork = scratch" label i) true
+          (scratch = forked))
+      faults;
+    let scratch_1 = Verifier.run_campaign ~jobs:1 ~config ~golden ~compiled faults in
+    let forked_1 =
+      Verifier.run_campaign ~jobs:1 ~config ~plan ~golden ~compiled faults
+    in
+    let forked_4 =
+      Verifier.run_campaign ~jobs:4 ~config ~plan ~golden ~compiled faults
+    in
+    check (label ^ ": campaign report fork = scratch (jobs 1)") true
+      (scratch_1 = forked_1);
+    check (label ^ ": campaign report identical at jobs 1 and 4") true
+      (forked_1 = forked_4)
+  in
+  let claims = compiled.Pass_pipeline.claims in
+  check "libquan publishes static claims" true
+    (claims.Turnpike_compiler.Claims.bypass_stores <> []
+    || claims.Turnpike_compiler.Claims.direct_ckpts <> []);
+  List.iter fork_matches_scratch
+    [
+      ("default", Recovery.default_config);
+      (* No CLQ and no coloring: snapshots copy neither. *)
+      ("turnstile", Recovery.turnstile_config);
+      (* The claim tables are shared by the pilot and every fork. *)
+      ( "static claims",
+        { Recovery.default_config with Recovery.honor_static_claims = true } );
+    ]
 
 let test_snapshot_fork_forensic_parity () =
   (* The forensic lifecycle must not observe the replay strategy: a fault

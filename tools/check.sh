@@ -68,6 +68,16 @@ dune exec --no-build bin/turnpike_cli.exe -- inject -b libquan --scale 2 \
 dune exec --no-build bin/turnpike_cli.exe -- inject -b libquan --scale 2 \
   -n 16 --seed 3 --jobs 2 --scratch > "$tmp/inject_scratch.txt"
 diff "$tmp/inject_snap.txt" "$tmp/inject_scratch.txt"
+# A 64-step cadence makes far more convergence checks against copied
+# executor state, on a suite benchmark and on a .tk kernel.
+dune exec --no-build bin/turnpike_cli.exe -- inject -b libquan --scale 2 \
+  -n 16 --seed 3 --snapshot-every 64 > "$tmp/inject_snap64.txt"
+diff "$tmp/inject_snap64.txt" "$tmp/inject_scratch.txt"
+dune exec --no-build bin/turnpike_cli.exe -- inject -b examples/triad.tk \
+  --scale 2 -n 16 --seed 3 --snapshot-every 64 > "$tmp/tk_inject_snap64.txt"
+dune exec --no-build bin/turnpike_cli.exe -- inject -b examples/triad.tk \
+  --scale 2 -n 16 --seed 3 --scratch > "$tmp/tk_inject_scratch.txt"
+diff "$tmp/tk_inject_snap64.txt" "$tmp/tk_inject_scratch.txt"
 
 echo "== campaign smoke: --ci stopping deterministic at --jobs 1 vs --jobs 4 =="
 # Same seed and CI target => identical stopping point and report at any
