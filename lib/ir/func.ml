@@ -18,8 +18,7 @@ let create ~name ~entry blocks =
   { name; entry; blocks = tbl; order = List.map (fun (b : Block.t) -> b.label) blocks }
 
 let block f l =
-  (* [find] rather than [find_opt]: the interpreter looks a block up on
-     every step, and this path allocates nothing. *)
+  (* [find] rather than [find_opt]: this path allocates nothing. *)
   match Hashtbl.find f.blocks l with
   | b -> b
   | exception Not_found -> invalid_arg (Printf.sprintf "Func.block: unknown label %s in %s" l f.name)

@@ -102,13 +102,12 @@ type dynamic_region = {
 type exec = {
   cfg : config;
   compiled : Pass_pipeline.t;
-  code : Interp.code; (* the compiled function, prepared for stepping once *)
   st : Interp.state;
   clq : Clq.t option;
   col : Coloring.t option;
   verified_loc : (Reg.t, slot_loc) Hashtbl.t;
-  claim_bypass : (string * int, unit) Hashtbl.t; (* read-only, shared by copies *)
-  claim_direct : (string * int, unit) Hashtbl.t;
+  claim_bypass : (int, unit) Hashtbl.t; (* by [Interp.site]; read-only, shared *)
+  claim_direct : (int, unit) Hashtbl.t;
   mutable open_region : dynamic_region option;
   mutable pending : dynamic_region list; (* closed, unverified; oldest first *)
   mutable next_seq : int;
@@ -151,11 +150,10 @@ let forensic_region ex =
   match ex.open_region with Some r -> r.static_id | None -> -1
 
 let forensic_site ex =
-  let pc = ex.st.Interp.pc in
   [
     ("func", Telemetry.Str ex.compiled.Pass_pipeline.prog.Prog.func.Func.name);
-    ("block", Telemetry.Str pc.Interp.block);
-    ("index", Telemetry.Int pc.Interp.index);
+    ("block", Telemetry.Str (Interp.label ex.st));
+    ("index", Telemetry.Int ex.st.Interp.index);
   ]
 
 let forensic_instant ex name args =
@@ -234,18 +232,14 @@ let verify_region ex (r : dynamic_region) =
         (List.length ex.pending + match ex.open_region with Some _ -> 1 | None -> 0)
   | None -> ())
 
-let process_verifications ex ~now =
-  let rec go () =
-    match ex.pending with
-    | r :: rest
-      when (match r.end_step with Some e -> e + ex.cfg.verify_delay <= now | None -> false)
-      ->
-      ex.pending <- rest;
-      verify_region ex r;
-      go ()
-    | _ -> ()
-  in
-  go ()
+let rec process_verifications ex ~now =
+  match ex.pending with
+  | r :: rest
+    when (match r.end_step with Some e -> e + ex.cfg.verify_delay <= now | None -> false) ->
+    ex.pending <- rest;
+    verify_region ex r;
+    process_verifications ex ~now
+  | _ -> ()
 
 let close_open_region ex ~now =
   match ex.open_region with
@@ -276,10 +270,17 @@ let on_boundary ex static_id =
   ex.next_seq <- ex.next_seq + 1;
   ex.open_region <- Some r
 
-(* The hooks fire while [st.pc] still points at the executing instruction,
-   so the current (block, body index) identifies the static claim site. *)
-let at_claimed_site ex tbl =
-  Hashtbl.mem tbl (ex.st.Interp.pc.Interp.block, ex.st.Interp.pc.Interp.index)
+(* The hooks fire while the pc still points at the executing instruction,
+   so the current site identifies the static claim site. *)
+let at_claimed_site ex tbl = Hashtbl.mem tbl (Interp.site ex.st)
+
+let rec undo_has addr = function
+  | [] -> false
+  | (a, _) :: rest -> a = addr || undo_has addr rest
+
+let rec pending_has addr = function
+  | [] -> false
+  | p :: rest -> undo_has addr p.undo || pending_has addr rest
 
 let on_store ex st addr value =
   if ex.cfg.honor_static_claims && at_claimed_site ex ex.claim_bypass then begin
@@ -292,10 +293,7 @@ let on_store ex st addr value =
   (* CLQ fast release: WAR-free regular stores skip the quarantine. The
      in-order constraint (no pending quarantined write to the same
      address) mirrors the hardware check. *)
-  let pending_same_addr =
-    List.exists (fun (a, _) -> a = addr) r.undo
-    || List.exists (fun p -> List.exists (fun (a, _) -> a = addr) p.undo) ex.pending
-  in
+  let pending_same_addr = undo_has addr r.undo || pending_has addr ex.pending in
   let fast =
     (match ex.clq with
     | Some clq -> Clq.war_free clq ~region:r.seq addr
@@ -419,7 +417,7 @@ let recover ex ~kind =
     List.iter
       (fun reg -> Interp.set_reg ex.st reg (restore_register ex reg))
       info.Pass_pipeline.live_in;
-    ex.st.Interp.pc <- { Interp.block = info.Pass_pipeline.head; index = 0 };
+    Interp.jump ex.st info.Pass_pipeline.head;
     ex.st.Interp.halted <- false;
     (* The restart region's boundary marker is its head block's first
        instruction, so the next step re-executes it at the position it
@@ -435,39 +433,42 @@ let recover ex ~kind =
    register for addressing triggers immediate (parity) detection before
    the access executes. *)
 let address_uses_taint ex =
-  match Interp.current_instr ex.code ex.st with
+  match Interp.current_instr ex.st with
   | Some (Instr.Load (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some (Instr.Store (_, base, _, _)) -> Reg.Set.mem base ex.tainted
   | Some _ | None -> false
 
+(* With nothing tainted, no input is tainted (no [taint_use]) and removing
+   the defs from the empty set is a no-op, so the whole walk is skipped. *)
 let propagate_taint ex =
-  match Interp.current_instr ex.code ex.st with
-  | Some i ->
-    let input_tainted =
-      List.exists (fun r -> Reg.Set.mem r ex.tainted) (Instr.uses i)
-    in
-    if input_tainted && Telemetry.enabled ex.tel && not ex.f_taint_use_done then begin
-      ex.f_taint_use_done <- true;
-      forensic_instant ex "taint_use"
-        [
-          ( "tainted_inputs",
-            Telemetry.Str
-              (String.concat ","
-                 (List.filter_map
-                    (fun r ->
-                      if Reg.Set.mem r ex.tainted then Some (Reg.to_string r)
-                      else None)
-                    (Instr.uses i))) );
-        ]
-    end;
-    let defs = Instr.defs i in
-    if input_tainted then
-      ex.tainted <- List.fold_left (fun s d -> Reg.Set.add d s) ex.tainted defs
-    else
-      (* A clean redefinition cleanses the register. Loads always cleanse:
-         memory contents are either verified or will be rolled back. *)
-      ex.tainted <- List.fold_left (fun s d -> Reg.Set.remove d s) ex.tainted defs
-  | None -> ()
+  if not (Reg.Set.is_empty ex.tainted) then
+    match Interp.current_instr ex.st with
+    | Some i ->
+      let input_tainted =
+        List.exists (fun r -> Reg.Set.mem r ex.tainted) (Instr.uses i)
+      in
+      if input_tainted && Telemetry.enabled ex.tel && not ex.f_taint_use_done then begin
+        ex.f_taint_use_done <- true;
+        forensic_instant ex "taint_use"
+          [
+            ( "tainted_inputs",
+              Telemetry.Str
+                (String.concat ","
+                   (List.filter_map
+                      (fun r ->
+                        if Reg.Set.mem r ex.tainted then Some (Reg.to_string r)
+                        else None)
+                      (Instr.uses i))) );
+          ]
+      end;
+      let defs = Instr.defs i in
+      if input_tainted then
+        ex.tainted <- List.fold_left (fun s d -> Reg.Set.add d s) ex.tainted defs
+      else
+        (* A clean redefinition cleanses the register. Loads always cleanse:
+           memory contents are either verified or will be rolled back. *)
+        ex.tainted <- List.fold_left (fun s d -> Reg.Set.remove d s) ex.tainted defs
+    | None -> ()
 
 (* Deterministic mixer for sampling the sensor detection latency. *)
 let hash_mix a b =
@@ -477,26 +478,33 @@ let hash_mix a b =
   z := !z lxor (!z lsr 13);
   !z land max_int
 
-let claim_table enabled sites =
+(* A claim names a (block label, body index) site; a label that names no
+   block can never be reached, so it is left out. *)
+let claim_table st enabled sites =
   let tbl = Hashtbl.create 16 in
-  if enabled then List.iter (fun site -> Hashtbl.replace tbl site ()) sites;
+  if enabled then
+    List.iter
+      (fun (label, index) ->
+        let site = Interp.site_of st label index in
+        if site >= 0 then Hashtbl.replace tbl site ())
+      sites;
   tbl
 
 let make_exec ?(config = default_config) ?(faults = []) ?(tel = Telemetry.null)
     (compiled : Pass_pipeline.t) =
+  let st = Interp.init compiled.Pass_pipeline.prog in
   {
     cfg = config;
     compiled;
-    code = Interp.prepare compiled.Pass_pipeline.prog.Prog.func;
-    st = Interp.init compiled.Pass_pipeline.prog;
+    st;
     clq = Option.map Clq.create config.clq;
     col = (if config.coloring then Some (Coloring.create ~nregs:config.nregs ()) else None);
     verified_loc = Hashtbl.create 32;
     claim_bypass =
-      claim_table config.honor_static_claims
+      claim_table st config.honor_static_claims
         compiled.Pass_pipeline.claims.Turnpike_compiler.Claims.bypass_stores;
     claim_direct =
-      claim_table config.honor_static_claims
+      claim_table st config.honor_static_claims
         compiled.Pass_pipeline.claims.Turnpike_compiler.Claims.direct_ckpts;
     open_region = None;
     pending = [];
@@ -535,7 +543,7 @@ let snapshot_step (s : snapshot) = s.st.Interp.steps
 let copy_region (r : dynamic_region) = { r with end_step = r.end_step }
 
 (* Every mutable part is copied; the config, the compiled program, its
-   prepared code and the read-only claim tables are shared. *)
+   lowered code and the read-only claim tables are shared. *)
 let copy_exec ex =
   {
     ex with
@@ -552,7 +560,7 @@ let copy_exec ex =
 type oracle = { snaps : snapshot array; final_steps : int; final_state : Interp.state }
 
 let converged ex (s : snapshot) =
-  ex.st.Interp.pc = s.st.Interp.pc
+  Interp.same_pc ex.st s.st
   && (not ex.st.Interp.halted)
   && Interp.regs_equal ex.st s.st
   && Interp.app_mem_equal ex.st s.st
@@ -585,13 +593,15 @@ let finish ex =
 
 let drive ?observer ?oracle ex =
   let st = ex.st in
+  (* Wrapped once: passing [~hooks] would box a fresh [Some] every step. *)
   let hooks =
-    {
-      Interp.on_ckpt = (fun st reg -> on_ckpt ex st reg);
-      on_boundary = (fun _ id -> on_boundary ex id);
-      on_load = (fun _ addr -> on_load ex addr);
-      write_mem = (fun st addr v -> on_store ex st addr v);
-    }
+    Some
+      {
+        Interp.on_ckpt = (fun st reg -> on_ckpt ex st reg);
+        on_boundary = (fun _ id -> on_boundary ex id);
+        on_load = (fun _ addr -> on_load ex addr);
+        write_mem = (fun st addr v -> on_store ex st addr v);
+      }
   in
   let detection_pending () = ex.detection_step < max_int in
   (* Convergence cursor: only pilot snapshots strictly ahead of the fork
@@ -611,7 +621,7 @@ let drive ?observer ?oracle ex =
      an error near the end is detected (and recovered) after the last
      instruction retires. *)
   while
-    !early = None
+    Option.is_none !early
     && ((not st.Interp.halted) || detection_pending ())
     && ex.budget > 0
   do
@@ -668,7 +678,7 @@ let drive ?observer ?oracle ex =
         else oidx := !oidx + 1
       end
     | Some _ | None -> ());
-    if !early = None then begin
+    if Option.is_none !early then begin
       let now = st.Interp.steps in
       (* Detection strictly precedes any verification at the same timestamp:
          a region is verified only when NO error was detected during its
@@ -716,7 +726,7 @@ let drive ?observer ?oracle ex =
         end
         else begin
           propagate_taint ex;
-          Interp.step ~hooks ex.code st;
+          Interp.step ?hooks st;
           ex.budget <- ex.budget - 1
         end
       end

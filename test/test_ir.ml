@@ -403,10 +403,11 @@ let test_interp_mem_equal () =
   let cp = Interp.copy src in
   Interp.set_reg cp 7 99;
   Interp.set_mem cp (Layout.data_base + 64) 99;
-  cp.Interp.pc <- { Interp.block = "head"; index = 1 };
+  Interp.jump cp "head";
   check_int "source reg untouched" 0 (Interp.get_reg src 7);
   check_int "source mem untouched" 0 (Interp.get_mem src (Layout.data_base + 64));
-  check "source pc untouched" true (src.Interp.pc <> cp.Interp.pc);
+  check "source pc untouched" false (Interp.same_pc src cp);
+  Alcotest.(check string) "copy pc moved" "head" (Interp.label cp);
   Interp.set_reg src 8 5;
   check_int "copy reg untouched" 0 (Interp.get_reg cp 8);
   check "copy regs differ after writes" false (Interp.regs_equal src cp);
@@ -428,7 +429,76 @@ let test_interp_mem_equal () =
   Alcotest.(check (option int)) "excluded addresses ignored" (Some (addr 9))
     (Interp.mem_diff ~only:(fun k -> k <> addr 3 && k <> addr 5) e f);
   Alcotest.(check (option int)) "all differences excluded" None
-    (Interp.mem_diff ~only:(fun k -> k < addr 3) e f)
+    (Interp.mem_diff ~only:(fun k -> k < addr 3) e f);
+  (* Edge addresses: the overflow table (unaligned, negative, below the
+     data segment, far past its footprint) and the spill and checkpoint
+     segments behave like any data word. *)
+  let edges =
+    [
+      ("unaligned", Layout.data_base + 3);
+      ("negative", -8);
+      ("below data_base", 0x100);
+      ("far past the data", 0x1234_5678);
+      ("spill", Layout.spill_slot 5);
+      ("ckpt", Layout.ckpt_slot ~reg:3 ~color:2);
+    ]
+  in
+  List.iter
+    (fun (what, a) ->
+      let src = Interp.run prog in
+      let cp = Interp.copy src in
+      Interp.set_mem cp a 7;
+      check_int (what ^ ": source untouched") 0 (Interp.get_mem src a);
+      Interp.set_mem src a 9;
+      check_int (what ^ ": copy untouched") 7 (Interp.get_mem cp a);
+      (* The lowest difference wins across the paged and overflow parts. *)
+      let e = Interp.run prog and f = Interp.run prog in
+      Interp.set_mem e a 1;
+      Interp.set_mem e (addr 2) 1;
+      let lo = min a (addr 2) and hi = max a (addr 2) in
+      Alcotest.(check (option int)) (what ^ ": lowest differing address") (Some lo)
+        (Interp.mem_diff ~only:(fun _ -> true) e f);
+      Alcotest.(check (option int)) (what ^ ": next differing address") (Some hi)
+        (Interp.mem_diff ~only:(fun k -> k <> lo) f e);
+      Interp.set_mem f a 1;
+      Interp.set_mem f (addr 2) 1;
+      check (what ^ ": equal again") true (Interp.mem_equal e f))
+    edges;
+  (* A virtual register with a large id grows the register file. *)
+  let src = Interp.run prog in
+  let cp = Interp.copy src in
+  let v = Reg.virt 5000 in
+  Interp.set_reg cp v 3;
+  check_int "large register in the copy" 3 (Interp.get_reg cp v);
+  check_int "large register: source untouched" 0 (Interp.get_reg src v);
+  check "grown register file differs" false (Interp.regs_equal src cp);
+  Interp.set_reg cp v 0;
+  check "grown = ungrown register file once 0" true
+    (Interp.regs_equal src cp && Interp.regs_equal cp src);
+  (* Absent = explicit 0 between a grown memory and an ungrown one. *)
+  let g = Interp.run prog and h = Interp.run prog in
+  Interp.set_mem g (Layout.data_base + (8 * 5000)) 0;
+  Interp.set_mem g (Layout.spill_slot 700) 0;
+  Interp.set_mem g 0x1234_5678 0;
+  check "grown memory = ungrown" true (Interp.mem_equal g h && Interp.mem_equal h g);
+  (* A word held in the overflow table moves into the segment once the
+     segment grows over it, and reads back unchanged. *)
+  let page k = Layout.data_base + (k * 128 * Layout.word) in
+  let g = Interp.run prog and h = Interp.run prog in
+  Interp.set_mem g (page 40) 5;
+  Interp.set_mem g (page 30) 1;
+  Interp.set_mem g (page 50) 1;
+  check_int "overflow word survives growth" 5 (Interp.get_mem g (page 40));
+  List.iter (fun k -> Interp.set_mem h (page k) (if k = 40 then 5 else 1)) [ 50; 30; 40 ];
+  check "same words, different write order" true (Interp.mem_equal g h);
+  (* A far write goes to the overflow table: it does not grow a segment
+     to reach it. *)
+  let st = Interp.run prog in
+  let before = Obj.reachable_words (Obj.repr st) in
+  Interp.set_mem st 0x1234_5678 9;
+  Interp.set_mem st (Layout.spill_base + 0x0100_0000) 9;
+  let grown = Obj.reachable_words (Obj.repr st) - before in
+  if grown > 1000 then Alcotest.failf "far writes grew the state by %d words" grown
 
 (* Every event shape, with zero, negative and virtual registers, survives
    the columnar encoding: the decoded view is the event put in. *)

@@ -90,16 +90,15 @@ let test_interp_step_granularity () =
   Builder.ret b;
   let prog = Builder.finish b in
   let st = Interp.init prog in
-  let code = Interp.prepare prog.Prog.func in
-  Interp.step code st;
+  Interp.step st;
   check_int "after one step" 1 (Interp.get_reg st r);
-  Interp.step code st;
+  Interp.step st;
   check_int "after two steps" 3 (Interp.get_reg st r);
   check "not yet halted" false st.Interp.halted;
-  Interp.step code st (* terminator *);
+  Interp.step st (* terminator *);
   check "halted at ret" true st.Interp.halted;
   let steps = st.Interp.steps in
-  Interp.step code st;
+  Interp.step st;
   check_int "step after halt is a no-op" steps st.Interp.steps
 
 let test_interp_hooks_see_writes () =

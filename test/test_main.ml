@@ -3,6 +3,7 @@ let () =
     [
       ("ir", Test_ir.tests);
       ("ir-internals", Test_ir_internals.tests);
+      ("interp-diff", Test_interp_diff.tests);
       ("arch", Test_arch.tests);
       ("compiler", Test_compiler.tests);
       ("analysis", Test_analysis.tests);

@@ -78,6 +78,13 @@ dune exec --no-build bin/turnpike_cli.exe -- inject -b examples/triad.tk \
 dune exec --no-build bin/turnpike_cli.exe -- inject -b examples/triad.tk \
   --scale 2 -n 16 --seed 3 --scratch > "$tmp/tk_inject_scratch.txt"
 diff "$tmp/tk_inject_snap64.txt" "$tmp/tk_inject_scratch.txt"
+# mcf@2017 has the suite's largest data footprint: the most pages for
+# copy-on-write forks to share and for convergence checks to compare.
+dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2017 --scale 2 \
+  -n 16 --seed 3 --snapshot-every 64 > "$tmp/mcf_inject_snap64.txt"
+dune exec --no-build bin/turnpike_cli.exe -- inject -b mcf@2017 --scale 2 \
+  -n 16 --seed 3 --scratch > "$tmp/mcf_inject_scratch.txt"
+diff "$tmp/mcf_inject_snap64.txt" "$tmp/mcf_inject_scratch.txt"
 
 echo "== campaign smoke: --ci stopping deterministic at --jobs 1 vs --jobs 4 =="
 # Same seed and CI target => identical stopping point and report at any
