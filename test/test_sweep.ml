@@ -260,6 +260,131 @@ let test_golden_fig14_15 () =
   check_golden "fig14_15" Turnpike.Csv_export.fig14_15
     (E.fig14_15 ~params:golden_params ())
 
+(* ------------------------------------------------------------------ *)
+(* Driver pins at scale 1, fuel 400000 (the settings of sim_stats.csv),
+   every float written exactly with %h: the motivation comparison, the
+   unroll ablation and the tiny design-space exploration (grid and
+   Pareto rows). Every trace behind a pinned number must be complete, so
+   no pin records a run that did not finish; the one known exception, in
+   the unroll ablation, is pinned by name. *)
+
+let pin_params = { Run.default_params with Run.scale = 1; fuel = 400_000 }
+
+let pin_lines name = String.split_on_char '\n' (read_file (Filename.concat golden_dir name))
+
+let check_pin name header rows =
+  Alcotest.(check (list string))
+    (name ^ " rows equal the pinned golden")
+    (pin_lines name)
+    ((header :: rows) @ [ "" ])
+
+let incomplete traces =
+  List.filter_map
+    (fun (label, (t : Turnpike_ir.Trace.t)) ->
+      if t.Turnpike_ir.Trace.complete then None else Some label)
+    traces
+
+let check_complete what traces =
+  Alcotest.(check (list string)) (what ^ ": every trace is complete") [] (incomplete traces)
+
+let scheme_traces (p : Run.params) schemes benches =
+  List.concat_map
+    (fun (b : Turnpike_workloads.Suite.entry) ->
+      List.map
+        (fun (s : Scheme.t) ->
+          ( Printf.sprintf "%s/%s/fuel%d" (Turnpike_workloads.Suite.qualified_name b)
+              s.Scheme.name p.Run.fuel,
+            (Run.compile_with p s b).Run.trace ))
+        schemes)
+    benches
+
+let test_pin_motivation () =
+  let rows =
+    List.map
+      (fun (r : E.motivation_row) ->
+        Printf.sprintf "%s,%h,%h" r.E.bench r.E.ooo_overhead r.E.inorder_overhead)
+      (E.motivation ~params:pin_params ())
+  in
+  check_complete "motivation"
+    (scheme_traces { pin_params with Run.sb_size = 4 }
+       [ Scheme.baseline; Scheme.turnstile ] (E.benchmarks ()));
+  check_pin "motivation.csv" "bench,ooo_overhead,inorder_overhead" rows
+
+let unrolled_trace (s : Scheme.t) factor (b : Turnpike_workloads.Suite.entry) =
+  let module PP = Turnpike_compiler.Pass_pipeline in
+  let opts = { (Scheme.compile_opts s ~sb_size:4) with PP.unroll = factor } in
+  let c = PP.compile ~opts (b.Turnpike_workloads.Suite.build ~scale:pin_params.Run.scale) in
+  fst (Turnpike_ir.Interp.trace_run ~fuel:pin_params.Run.fuel c.PP.prog)
+
+let test_pin_unroll () =
+  let rows =
+    List.concat_map
+      (fun (r : E.unroll_row) ->
+        List.map
+          (fun (f, ts, tp) -> Printf.sprintf "%s,%d,%h,%h" r.E.bench f ts tp)
+          r.E.by_factor)
+      (E.unroll_ablation ~params:pin_params ())
+  in
+  (* Once unrolled (factor 2 or 4), water-sp never halts under any scheme,
+     so its cells divide two fuel-limited windows. The list pins that
+     truncation so it stays visible; it empties when the unroll pass is
+     fixed. *)
+  let water_sp f =
+    List.map
+      (fun s -> Printf.sprintf "water-sp@splash3/%s/unroll%d" s f)
+      [ "baseline"; "turnstile"; "turnpike" ]
+  in
+  Alcotest.(check (list string))
+    "unroll: only the known water-sp traces truncate"
+    (water_sp 2 @ water_sp 4)
+    (incomplete
+    @@ List.concat_map
+       (fun b ->
+         List.concat_map
+           (fun f ->
+             List.map
+               (fun (s : Scheme.t) ->
+                 ( Printf.sprintf "%s/%s/unroll%d"
+                     (Turnpike_workloads.Suite.qualified_name b) s.Scheme.name f,
+                   unrolled_trace s f b ))
+               [ Scheme.baseline; Scheme.turnstile; Scheme.turnpike ])
+           E.unroll_factors)
+       (E.benchmarks ()));
+  check_pin "unroll.csv" "bench,factor,turnstile,turnpike" rows
+
+let test_pin_explore () =
+  let r = Explore.run ~params:pin_params ~spec:DP.tiny_spec () in
+  let row table (pr : Explore.point_result) =
+    let o = pr.Explore.objectives in
+    String.concat ","
+      ((table :: DP.csv_cells pr.Explore.point)
+      @ [
+          string_of_int pr.Explore.budgets_survived; pr.Explore.budget;
+          string_of_bool pr.Explore.full_scale;
+          Printf.sprintf "%h" o.Explore.overhead; Printf.sprintf "%h" o.Explore.area_um2;
+          Printf.sprintf "%h" o.Explore.energy_pj_per_kinstr;
+          Printf.sprintf "%h" o.Explore.sdc_rate; string_of_int o.Explore.faults;
+          string_of_bool pr.Explore.on_frontier;
+        ])
+  in
+  check "frontier re-validated" true r.Explore.validated;
+  check_complete "explore"
+    (List.concat_map
+       (fun (bu : Explore.budget) ->
+         scheme_traces
+           { pin_params with Run.scale = bu.Explore.scale; fuel = bu.Explore.fuel; sb_size = 4 }
+           [ Scheme.baseline; Scheme.turnstile; Scheme.turnpike ]
+           (Explore.default_benches ()))
+       (Explore.budgets_for pin_params));
+  check_pin "explore_tiny.csv"
+    (String.concat ","
+       (("table" :: DP.csv_header)
+       @ [
+           "budgets_survived"; "budget"; "full_scale"; "overhead"; "area_um2";
+           "energy_pj_per_kinstr"; "sdc_rate"; "faults"; "pareto";
+         ]))
+    (List.map (row "grid") r.Explore.results @ List.map (row "pareto") r.Explore.frontier)
+
 let tests =
   [
     Alcotest.test_case "pareto-dominates" `Quick test_dominates;
@@ -278,4 +403,7 @@ let tests =
     Alcotest.test_case "golden-fig19" `Slow test_golden_fig19;
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;
+    Alcotest.test_case "golden-motivation" `Slow test_pin_motivation;
+    Alcotest.test_case "golden-unroll" `Slow test_pin_unroll;
+    Alcotest.test_case "golden-explore-tiny" `Slow test_pin_explore;
   ]
