@@ -20,7 +20,6 @@
                 forensics
      telemetry  null vs enabled sink on the fig19 simulations and compile
      halving    successive halving vs exhaustive search on --grid
-     frontend   .tk text path vs the OCaml template builder
 
    Experiment grids — and the per-fault injection campaign — run on the
    turnpike.parallel domain pool; --jobs 1 is strictly sequential and any
@@ -932,72 +931,6 @@ let run_halving () =
        (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) halving.X.evals_per_budget))
 
 (* ------------------------------------------------------------------ *)
-(* frontend: what the .tk text path costs against building the same
-   kernel through the OCaml template API (the two producers of the IR
-   test_frontend asserts store-stream-identical). Parsing alone is timed
-   separately so the lowering share is visible. Reads the ports from
-   examples/, relative to the working directory. *)
-
-let frontend_repeat = 200
-
-let frontend_kernels =
-  let module T = Turnpike_workloads.Templates in
-  [
-    ("triad", fun s -> T.triad ~iters:(8 * s) ());
-    ("stencil", fun s -> T.stencil ~iters:(8 * s) ());
-    ("histogram", fun s -> T.histogram ~iters:(16 * s) ~buckets:8 ());
-    ("gather", fun s -> T.gather ~iters:(12 * s) ~span:16 ());
-    ("mixed", fun s -> T.mixed ~iters:(10 * s) ());
-    ("matmul", fun s -> T.matmul ~n:(4 * s) ());
-    ("pointer_chase", fun s -> T.pointer_chase ~nodes:16 ~iters:(8 * s) ());
-  ]
-
-let run_frontend () =
-  let module Tk = Turnpike_frontend.Tk in
-  Report.section ".tk frontend: text path vs OCaml template builder";
-  let scale = (!params).Run.scale in
-  let cols =
-    Report.[ { title = "kernel"; width = 14 }; { title = "parse ms"; width = 8 };
-             { title = "text ms"; width = 8 }; { title = "template ms"; width = 11 };
-             { title = "text/template"; width = 13 } ]
-  in
-  Report.print_header cols;
-  let row name secs =
-    let s label = List.assoc label secs in
-    let ms label = Printf.sprintf "%.3f" (1000. *. s label /. float_of_int frontend_repeat) in
-    Report.print_row cols
-      [ name; ms "parse"; ms "text"; ms "template"; ratio (s "template") (s "text") ]
-  in
-  let totals = ref [] in
-  List.iter
-    (fun (name, template) ->
-      let path = Filename.concat "examples" (name ^ ".tk") in
-      let src =
-        try In_channel.with_open_bin path In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "frontend: %s (run from the repository root)\n" msg;
-          exit 2
-      in
-      let modes =
-        ab ~repeat:frontend_repeat
-          [ ("parse", fun () ->
-                match Tk.parse_string ~file:path src with
-                | Ok _ -> ()
-                | Error e -> diverged "%s" (Turnpike_frontend.Srcloc.error_to_string e));
-            ("text", fun () ->
-                match Tk.compile_string ~file:path ~scale src with
-                | Ok _ -> ()
-                | Error e -> diverged "%s" e);
-            ("template", fun () -> ignore (template scale)) ]
-      in
-      add_seconds totals modes;
-      row name (List.map (fun (label, s, ()) -> (label, s)) modes))
-    frontend_kernels;
-  row "total" !totals;
-  Printf.printf "(per compile, mean of %d interleaved rounds at scale %d)\n"
-    frontend_repeat scale
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1010,12 +943,12 @@ let experiments =
     ("unroll", run_unroll); ("motivation", run_motivation);
     ("analysis", run_analysis); ("explore", run_explore);
     ("replay", run_replay); ("telemetry", run_telemetry);
-    ("halving", run_halving); ("frontend", run_frontend);
+    ("halving", run_halving);
   ]
 
 (* A grid sweep and the cost sections are deliberate choices: keep them
    out of the run-all set. *)
-let opt_in = [ "explore"; "replay"; "telemetry"; "halving"; "frontend" ]
+let opt_in = [ "explore"; "replay"; "telemetry"; "halving" ]
 
 let int_arg flag v =
   match int_of_string_opt v with

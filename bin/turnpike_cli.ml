@@ -26,6 +26,17 @@ let schemes =
   List.map (fun (s : Turnpike.Scheme.t) -> (s.Turnpike.Scheme.name, s))
     (Turnpike.Scheme.baseline :: Turnpike.Scheme.ladder)
 
+(* Create a --csv directory before any work: one that cannot be created
+   exits 2 with the system's reason instead of failing after the run. *)
+let prepare_csv_dir = function
+  | None -> ()
+  | Some dir -> (
+    try Unix.mkdir dir 0o755 with
+    | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+    | Unix.Unix_error (e, _, _) ->
+      Printf.eprintf "--csv %s: %s\n" dir (Unix.error_message e);
+      exit 2)
+
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -294,6 +305,7 @@ let inject_cmd =
   in
   let run () name faults seed scale scratch every ci confidence batch forensics
       fjsonl ftrace fcsv json =
+    prepare_csv_dir fcsv;
     match find_bench name with
     | Error e ->
       prerr_endline e;
@@ -408,7 +420,6 @@ let inject_cmd =
             ftrace;
           Option.iter
             (fun dir ->
-              (try Unix.mkdir dir 0o755 with _ -> ());
               Turnpike.Csv_export.forensics ~dir records summary;
               if not json then Printf.printf "[forensic csv written under %s]\n" dir)
             fcsv;
@@ -475,6 +486,7 @@ let report_cmd =
   in
   let run () name scheme scale faults seed top mutant csv_dir compare_static
       json =
+    prepare_csv_dir csv_dir;
     match find_bench name with
     | Error e ->
       prerr_endline e;
@@ -648,7 +660,6 @@ let report_cmd =
       match csv_dir with
       | None -> ()
       | Some dir ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
         Turnpike.Csv_export.forensics ~dir records summary;
         if not json then Printf.printf "[forensic csv written under %s]\n" dir
   in
@@ -733,6 +744,7 @@ let lint_cmd =
   in
   let run () bench scheme per_pass explain full_recheck vuln vcsv sb scale
       json =
+    if vuln then prepare_csv_dir vcsv;
     let benches =
       match bench with
       | None -> Ok (Suite.all ())
@@ -761,7 +773,6 @@ let lint_cmd =
         match vcsv with
         | None -> ()
         | Some dir ->
-          (try Unix.mkdir dir 0o755 with _ -> ());
           Turnpike.Csv_export.vuln ~dir report;
           if not json then Printf.printf "[vuln csv written under %s]\n" dir
       end
@@ -959,6 +970,7 @@ let explore_cmd =
              at full scale.")
   in
   let run () grid scale seed ci faults csv_dir forensics static_proxy =
+    prepare_csv_dir csv_dir;
     match DP.spec_of_string grid with
     | Error msg ->
       prerr_endline msg;
@@ -1020,7 +1032,6 @@ let explore_cmd =
       (match csv_dir with
       | None -> ()
       | Some dir ->
-        (try Unix.mkdir dir 0o755 with _ -> ());
         let grid_path = Filename.concat dir "explore_grid.csv" in
         let pareto_path = Filename.concat dir "explore_pareto.csv" in
         Turnpike.Csv_export.explore_grid ~path:grid_path report;

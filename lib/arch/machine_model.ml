@@ -14,7 +14,7 @@ let sb_size = function
   | In_order m -> m.Machine.sb_size
   | Out_of_order c -> c.Ooo_timing.sb_size
 
-let simulate t trace =
+let simulate ?tel t trace =
   match t with
-  | In_order m -> Timing.simulate m trace
+  | In_order m -> Timing.simulate ?tel m trace
   | Out_of_order c -> Ooo_timing.simulate c trace

@@ -19,7 +19,9 @@ val sb_size : t -> int
 (** Store-buffer entries of the configured core (the CAM whose cost the
     explorer's area/energy objectives charge). *)
 
-val simulate : t -> Turnpike_ir.Trace.t -> Sim_stats.t
-(** Replay a trace on whichever backend the value carries (no telemetry
-    sink — sweeps never record timelines). Deterministic: a pure function
-    of (config, trace). *)
+val simulate :
+  ?tel:Turnpike_telemetry.sink -> t -> Turnpike_ir.Trace.t -> Sim_stats.t
+(** Replay a trace on whichever backend the value carries. [tel] (default
+    {!Turnpike_telemetry.null}) receives the in-order core's timeline (see
+    {!Timing.simulate}); the out-of-order core records none. Deterministic:
+    the counters are a pure function of (config, trace). *)

@@ -60,15 +60,15 @@ val recovery_config : t -> fuel:int -> Recovery.config
 (** {1 Grid construction} *)
 
 type spec = {
-  cores : core Sweep.axis;
-  sb_entries : int Sweep.axis;
-  clq_entries : int Sweep.axis;
-  color_bits : int Sweep.axis;
-  sensors : int Sweep.axis;
-  rungs : Scheme.t Sweep.axis;
+  cores : core list;
+  sb_entries : int list;
+  clq_entries : int list;
+  color_bits : int list;
+  sensors : int list;
+  rungs : Scheme.t list;
 }
-(** Declarative description of a design grid: one {!Sweep.axis} per
-    dimension. *)
+(** Declarative description of a design grid: the values swept on each
+    dimension, in enumeration order. *)
 
 val default_spec : spec
 (** The default 64-point exploration grid: {in-order, OoO} × SB {4, 8} ×

@@ -6,7 +6,8 @@
    Every driver submits its full (benchmark × config) grid to the
    Parallel work pool; Run's domain-safe cache deduplicates compiles
    across workers, and the pool's index-ordered results keep rows
-   byte-identical at any --jobs count. *)
+   byte-identical at any --jobs count. Every simulation and every
+   overhead goes through Run, on either core. *)
 
 module Suite = Turnpike_workloads.Suite
 module Sim_stats = Turnpike_arch.Sim_stats
@@ -14,6 +15,7 @@ module Static_stats = Turnpike_compiler.Static_stats
 module Sensor = Turnpike_arch.Sensor
 module Cost_model = Turnpike_arch.Cost_model
 module Clq = Turnpike_arch.Clq
+module Machine_model = Turnpike_arch.Machine_model
 
 (* The run configuration is Run.params itself (re-exported so the record
    fields are in scope here and for the harness): drivers pin the knobs a
@@ -69,15 +71,10 @@ type clq_design_row = {
   war_free_compact : float;
 }
 
-let clq_axis =
-  Sweep.axis ~name:"clq"
-    ~show:(function
-      | Clq.Ideal -> "ideal"
-      | Clq.Compact n -> Printf.sprintf "compact%d" n)
-    [ Clq.Ideal; Clq.Compact 2 ]
+let clq_axis = [ Clq.Ideal; Clq.Compact 2 ]
 
 let fig14_15 ?(params = default_params) () =
-  Sweep.grid ~items:(benchmarks ()) ~axis:clq_axis
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:clq_axis
     (fun b clq ->
       let scheme = Scheme.with_clq Scheme.fast_release (Some clq) in
       Run.normalized_with { params with wcdl = 10 } scheme b)
@@ -112,10 +109,9 @@ let fig18 () =
 type wcdl_sweep_row = { bench : string; overheads : (int * float) list }
 
 let wcdls = [ 10; 20; 30; 40; 50 ]
-let wcdl_axis = Sweep.ints ~name:"wcdl" wcdls
 
 let wcdl_sweep ?(params = default_params) scheme =
-  Sweep.grid ~items:(benchmarks ()) ~axis:wcdl_axis
+  Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:wcdls
     (fun b wcdl -> fst (Run.normalized_with { params with wcdl } scheme b))
   |> List.map (fun (b, overheads) ->
          { bench = Suite.qualified_name b; overheads })
@@ -312,7 +308,9 @@ let table1 () = Cost_model.table1 ()
    an out-of-order core (the paper quotes ~8% on SPEC/MediaBench/SPLASH2)
    because its 40-entry store buffer absorbs the quarantine and dynamic
    scheduling hides checkpoint hazards, yet the same scheme costs 29-84%
-   in order. Run the same Turnstile binary on both core models. *)
+   in order. Run the same Turnstile binary on both core models, each
+   normalized to the baseline binary on the same core at the same 4-entry
+   SB. *)
 
 module Ooo = Turnpike_arch.Ooo_timing
 
@@ -323,15 +321,13 @@ type motivation_row = {
 }
 
 let motivation ?(params = default_params) ?(wcdl = 10) () =
-  let params = { params with wcdl; sb_size = 4 } in
+  let params = { params with wcdl; sb_size = 4; baseline_sb = 4 } in
   Turnpike_parallel.map_list
     (fun b ->
-      let c = Run.compile_with params Scheme.turnstile b in
-      let base = Run.compile_with params Scheme.baseline b in
-      let ooo cfg trace = (Ooo.simulate cfg trace).Sim_stats.cycles in
-      let ooo_overhead =
-        float_of_int (ooo (Ooo.turnstile_config ~wcdl ()) c.Run.trace)
-        /. float_of_int (max 1 (ooo Ooo.default_config base.Run.trace))
+      let ooo_overhead, _ =
+        Run.normalized_on params Scheme.turnstile
+          (Machine_model.Out_of_order (Ooo.turnstile_config ~wcdl ()))
+          ~baseline:(Machine_model.Out_of_order Ooo.default_config) b
       in
       let inorder_overhead, _ = Run.normalized_with params Scheme.turnstile b in
       { bench = Suite.qualified_name b; ooo_overhead; inorder_overhead })
@@ -353,37 +349,13 @@ type unroll_row = {
 let unroll_factors = [ 1; 2; 4 ]
 
 let unroll_ablation ?(params = default_params) ?(wcdl = 50) () =
+  let params = { params with wcdl; sb_size = 4; baseline_sb = 4 } in
   Turnpike_parallel.grid ~items:(benchmarks ()) ~configs:unroll_factors
     (fun b factor ->
-      let overhead scheme factor =
-        let opts =
-          { (Scheme.compile_opts scheme ~sb_size:4) with Run.Pass_pipeline.unroll = factor }
-        in
-        let prog = b.Suite.build ~scale:params.scale in
-        let compiled = Run.Pass_pipeline.compile ~opts prog in
-        let trace, _ =
-          Turnpike_ir.Interp.trace_run ~fuel:params.fuel compiled.Run.Pass_pipeline.prog
-        in
-        let machine = Scheme.machine scheme ~wcdl ~sb_size:4 in
-        let cycles =
-          (Turnpike_arch.Timing.simulate machine trace).Sim_stats.cycles
-        in
-        let base_opts =
-          { (Scheme.compile_opts Scheme.baseline ~sb_size:4) with
-            Run.Pass_pipeline.unroll = factor }
-        in
-        let base_compiled = Run.Pass_pipeline.compile ~opts:base_opts prog in
-        let base_trace, _ =
-          Turnpike_ir.Interp.trace_run ~fuel:params.fuel
-            base_compiled.Run.Pass_pipeline.prog
-        in
-        let base_machine = Scheme.machine Scheme.baseline ~wcdl ~sb_size:4 in
-        let base_cycles =
-          (Turnpike_arch.Timing.simulate base_machine base_trace).Sim_stats.cycles
-        in
-        float_of_int cycles /. float_of_int (max 1 base_cycles)
+      let overhead scheme =
+        fst (Run.normalized_with params (Scheme.with_unroll scheme factor) b)
       in
-      (overhead Scheme.turnstile factor, overhead Scheme.turnpike factor))
+      (overhead Scheme.turnstile, overhead Scheme.turnpike))
   |> List.map (fun (b, by) ->
          {
            bench = Suite.qualified_name b;

@@ -41,8 +41,8 @@ type clq_design_row = {
   war_free_compact : float;
 }
 
-val clq_axis : Clq.design Sweep.axis
-(** The ideal-vs-compact CLQ grid dimension ([ideal], [compact2]). *)
+val clq_axis : Clq.design list
+(** The ideal-vs-compact CLQ designs the figure sweeps, in column order. *)
 
 val fig14_15 : ?params:params -> unit -> clq_design_row list
 
@@ -57,10 +57,7 @@ val fig18 : unit -> fig18_row list
 type wcdl_sweep_row = { bench : string; overheads : (int * float) list }
 
 val wcdls : int list
-
-val wcdl_axis : int Sweep.axis
-(** {!wcdls} as a declarative {!Sweep} dimension — the grid both WCDL
-    figures sweep over. *)
+(** The detection latencies both WCDL figures sweep, in column order. *)
 
 val wcdl_sweep : ?params:params -> Scheme.t -> wcdl_sweep_row list
 val fig19 : ?params:params -> unit -> wcdl_sweep_row list
@@ -131,7 +128,11 @@ val motivation : ?params:params -> ?wcdl:int -> unit -> motivation_row list
 (** The same Turnstile binary on both core models: the 40-entry SB and
     dynamic scheduling make verification cheap out of order (paper quotes
     ~8%), while the 4-entry in-order SB makes it expensive — the gap the
-    whole paper exists to close. *)
+    whole paper exists to close. Both binaries are compiled for a 4-entry
+    SB ([params]' [sb_size] and [baseline_sb] are pinned to 4), and each
+    core's overhead is normalized to the baseline binary on that core.
+    @raise Run.Degenerate_baseline if a baseline is degenerate (see
+    {!Run.overhead}). *)
 
 (** {1 Unrolling ablation (beyond the paper's figures)} *)
 
@@ -148,7 +149,11 @@ val unroll_ablation : ?params:params -> ?wcdl:int -> unit -> unroll_row list
     identically): larger loop bodies lower checkpoint density and color-pool
     pressure — the region-size effect behind this repo's deviations from
     the paper's absolute numbers. Default WCDL 50, where the effect is
-    largest. *)
+    largest. The factor is a {!Scheme.with_unroll} compile knob, so the
+    unrolled binaries share {!Run}'s compile cache; [sb_size] and
+    [baseline_sb] are pinned to 4.
+    @raise Run.Degenerate_baseline if a baseline is degenerate (see
+    {!Run.overhead}). *)
 
 (** {1 Resilience-hardware energy (beyond the paper's figures)} *)
 

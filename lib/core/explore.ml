@@ -1,5 +1,6 @@
 (* Successive-halving design-space exploration. Scoring is split in two
-   deterministic passes per budget rung: timing simulation fans out over
+   deterministic passes per budget rung: timing simulation (through Run,
+   on the point's core and its unprotected baseline) fans out over
    (point x benchmark) on the domain pool, while fault campaigns are
    walked sequentially per campaign key (the verifier fans out per fault
    internally — same structure as Experiments.campaign_over, which avoids
@@ -8,7 +9,6 @@
 
 module Suite = Turnpike_workloads.Suite
 module Sim_stats = Turnpike_arch.Sim_stats
-module Machine_model = Turnpike_arch.Machine_model
 module Cost_model = Turnpike_arch.Cost_model
 module Sensor = Turnpike_arch.Sensor
 module Clq = Turnpike_arch.Clq
@@ -112,7 +112,7 @@ let dynamic_energy_pj (p : Design_point.t) stats =
 (* ------------------------------------------------------------------ *)
 (* Per-budget evaluation. *)
 
-let run_params (_params : Run.params) budget (p : Design_point.t) =
+let run_params budget (p : Design_point.t) =
   {
     Run.scale = budget.scale;
     fuel = budget.fuel;
@@ -122,22 +122,17 @@ let run_params (_params : Run.params) budget (p : Design_point.t) =
   }
 
 (* Timing + energy of one (point, benchmark) pair: overhead against the
-   unprotected baseline of the same core at the same SB depth. [None]
-   when the baseline trace is degenerate (zero simulated cycles). *)
-let timing_of ~params ~budget (p : Design_point.t) b =
-  let bp = run_params params budget p in
-  let c = Run.compile_with bp p.Design_point.rung b in
-  let base = Run.compile_with bp Scheme.baseline b in
-  let stats = Machine_model.simulate (Design_point.machine_model p) c.Run.trace in
-  let bstats =
-    Machine_model.simulate (Design_point.baseline_model p) base.Run.trace
+   unprotected baseline of the same core at the same SB depth. Raises
+   [Run.Degenerate_baseline] on a degenerate baseline. *)
+let timing_of ~budget (p : Design_point.t) b =
+  let overhead, r =
+    Run.normalized_on (run_params budget p) p.Design_point.rung
+      (Design_point.machine_model p) ~baseline:(Design_point.baseline_model p) b
   in
-  if bstats.Sim_stats.cycles <= 0 then None
-  else
-    Some
-      ( float_of_int stats.Sim_stats.cycles /. float_of_int bstats.Sim_stats.cycles,
-        1000.0 *. dynamic_energy_pj p stats
-        /. float_of_int (max 1 stats.Sim_stats.instructions) )
+  let stats = r.Run.stats in
+  ( overhead,
+    1000.0 *. dynamic_energy_pj p stats
+    /. float_of_int (max 1 stats.Sim_stats.instructions) )
 
 (* A fault campaign only observes the binary (rung, SB depth), the
    functional recovery configuration (CLQ, coloring on/off, WCDL) and the
@@ -175,9 +170,9 @@ let key_point k : Design_point.t =
    resilience experiments do): each fault forks the recovery executor
    from the nearest snapshot, and the verifier's sequential stopping rule
    keeps the consumed fault count deterministic at any job count. *)
-let run_campaign ~params ~budget ~seed ~forensics key b =
+let run_campaign ~budget ~seed ~forensics key b =
   let p = key_point key in
-  let bp = run_params params budget p in
+  let bp = run_params budget p in
   let bp = { bp with Run.scale = max 1 (bp.Run.scale / 4) } in
   let c = Run.compile_with bp key.rung b in
   if not c.Run.trace.Trace.complete then (0, 0, [])
@@ -214,10 +209,10 @@ let run_campaign ~params ~budget ~seed ~forensics key b =
 (* Score every live point under one budget. Two passes: timing on the
    domain pool, then one campaign per distinct key (first-appearance
    order). Returns (point, objectives) in the input (grid) order. *)
-let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
+let score_batch ?(forensics = false) ~benches ~budget ~seed points =
   let timing =
     Turnpike_parallel.grid ~items:points ~configs:benches (fun p b ->
-        timing_of ~params ~budget p b)
+        timing_of ~budget p b)
   in
   let keys =
     List.fold_left
@@ -237,7 +232,7 @@ let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
             else
               List.fold_left
                 (fun (sdc, total, records) b ->
-                  let s, t, r = run_campaign ~params ~budget ~seed ~forensics k b in
+                  let s, t, r = run_campaign ~budget ~seed ~forensics k b in
                   (sdc + s, total + t, records @ r))
                 (0, 0, []) benches
           in
@@ -257,9 +252,9 @@ let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
   in
   List.map
     (fun (p, by_bench) ->
-      let measured = List.filter_map snd by_bench in
-      let overhead = Report.geomean (List.map fst measured) in
-      let energy = Report.arith_mean (List.map snd measured) in
+      let overheads, energies = List.split (List.map snd by_bench) in
+      let overhead = Report.geomean overheads in
+      let energy = Report.arith_mean energies in
       let sdc, faults =
         match List.assoc_opt (campaign_key p) campaigns with
         | Some (s, t, _) -> (s, t)
@@ -279,8 +274,8 @@ let score_batch ?(forensics = false) ~benches ~params ~budget ~seed points =
         Option.join (List.assoc_opt (campaign_key p) rollups) ))
     timing
 
-let score ~benches ~params ~budget ~seed p =
-  match score_batch ~benches ~params ~budget ~seed [ p ] with
+let score ~benches ~budget ~seed p =
+  match score_batch ~benches ~budget ~seed [ p ] with
   | [ (_, o, _) ] -> o
   | _ -> assert false
 
@@ -443,7 +438,7 @@ let run ?benches ?budgets ?(seed = 7) ?(params = Run.default_params)
   end;
   List.iteri
     (fun bi budget ->
-      let scored = score_batch ~forensics ~benches ~params ~budget ~seed !alive in
+      let scored = score_batch ~forensics ~benches ~budget ~seed !alive in
       evals := (budget.label, List.length scored) :: !evals;
       List.iter
         (fun (p, o, f) ->
@@ -487,7 +482,7 @@ let run ?benches ?budgets ?(seed = 7) ?(params = Run.default_params)
   let validated =
     List.for_all
       (fun r ->
-        score ~benches ~params ~budget:last_budget ~seed r.point = r.objectives)
+        score ~benches ~budget:last_budget ~seed r.point = r.objectives)
       frontier
   in
   {

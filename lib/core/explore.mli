@@ -70,18 +70,19 @@ val default_benches : unit -> Suite.entry list
 
 val score :
   benches:Suite.entry list ->
-  params:Run.params ->
   budget:budget ->
   seed:int ->
   Design_point.t ->
   objectives
 (** Evaluate one design point under one budget: compile each benchmark
     under the point's rung (cached), simulate on the point's
-    {!Design_point.machine_model} and its unprotected baseline, and run a
-    CI-stopped fault campaign per benchmark under the point's
-    {!Design_point.recovery_config}. Identical to the batched evaluation
-    {!run} performs — re-scoring a point reproduces its objectives
-    bit-for-bit. *)
+    {!Design_point.machine_model} and its unprotected baseline through
+    {!Run.normalized_on}, and run a CI-stopped fault campaign per
+    benchmark under the point's {!Design_point.recovery_config}. Identical
+    to the batched evaluation {!run} performs — re-scoring a point
+    reproduces its objectives bit-for-bit.
+    @raise Run.Degenerate_baseline if a benchmark's baseline is degenerate
+    (see {!Run.overhead}). *)
 
 (** {1 The explorer} *)
 
@@ -145,4 +146,6 @@ val run :
     Frontier re-validation is unchanged — it re-runs the full-scale
     simulated evaluation, so the proxy can only affect which points
     reach it, never the recorded objectives.
-    @raise Invalid_argument when [budgets] is empty. *)
+    @raise Invalid_argument when [budgets] is empty.
+    @raise Run.Degenerate_baseline if a benchmark's baseline is degenerate
+    (see {!Run.overhead}). *)

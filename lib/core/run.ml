@@ -1,8 +1,10 @@
 (* End-to-end driver: build a workload, compile it under a scheme, produce
-   its dynamic trace, replay the trace on the scheme's machine, and report
-   counters. Compilation and tracing are cached per (benchmark, scale,
-   compile key): traces depend only on the binary, so a single trace serves
-   every WCDL / machine variation of the same scheme.
+   its dynamic trace, replay the trace on a machine of either core, and
+   report counters. Every simulation and every division by a baseline's
+   cycles in the drivers goes through here. Compilation and tracing are
+   cached per (benchmark, scale, compile key): traces depend only on the
+   binary, so a single trace serves every WCDL / machine variation of the
+   same scheme.
 
    The cache is domain-safe: entries are published under a mutex, and a
    key being compiled by one worker is marked in-flight so other workers
@@ -13,7 +15,7 @@
 open Turnpike_ir
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
 module Static_stats = Turnpike_compiler.Static_stats
-module Timing = Turnpike_arch.Timing
+module Machine_model = Turnpike_arch.Machine_model
 module Sim_stats = Turnpike_arch.Sim_stats
 module Suite = Turnpike_workloads.Suite
 
@@ -109,10 +111,9 @@ let compile_with (p : params) (scheme : Scheme.t) (bench : Suite.entry) =
       publish (Error e);
       raise e)
 
-let run_with ?tel (p : params) (scheme : Scheme.t) (bench : Suite.entry) =
+let run_on ?tel (p : params) (scheme : Scheme.t) machine (bench : Suite.entry) =
   let c = compile_with p scheme bench in
-  let machine = Scheme.machine scheme ~wcdl:p.wcdl ~sb_size:p.sb_size in
-  let stats = Timing.simulate ?tel machine c.trace in
+  let stats = Machine_model.simulate ?tel machine c.trace in
   {
     scheme = scheme.Scheme.name;
     benchmark = Suite.qualified_name bench;
@@ -123,20 +124,35 @@ let run_with ?tel (p : params) (scheme : Scheme.t) (bench : Suite.entry) =
 
 exception Degenerate_baseline of string
 
+(* An empty trace still simulates one cycle, so the retired-instruction
+   count is what exposes it. *)
 let overhead ~baseline result =
-  if baseline.stats.Sim_stats.cycles = 0 then
+  if baseline.stats.Sim_stats.cycles = 0 || baseline.stats.Sim_stats.instructions = 0
+  then
     raise
       (Degenerate_baseline
          (Printf.sprintf
-            "Run.overhead: baseline %s/%s simulated 0 cycles (empty or \
-             truncated trace) while normalizing %s/%s"
+            "Run.overhead: baseline %s/%s retired no instructions or \
+             simulated 0 cycles (empty or truncated trace) while \
+             normalizing %s/%s"
             baseline.benchmark baseline.scheme result.benchmark result.scheme))
   else
     float_of_int result.stats.Sim_stats.cycles
     /. float_of_int baseline.stats.Sim_stats.cycles
 
-let normalized_with (p : params) (scheme : Scheme.t) (bench : Suite.entry) =
-  let base = run_with { p with sb_size = p.baseline_sb } Scheme.baseline bench in
-  let r = run_with p scheme bench in
+let normalized_on (p : params) (scheme : Scheme.t) machine ~baseline bench =
+  let base =
+    run_on { p with sb_size = p.baseline_sb } (Scheme.unprotected scheme) baseline bench
+  in
+  let r = run_on p scheme machine bench in
   (overhead ~baseline:base r, r)
 
+let in_order (p : params) scheme =
+  Machine_model.In_order (Scheme.machine scheme ~wcdl:p.wcdl ~sb_size:p.sb_size)
+
+let run_with ?tel p scheme bench = run_on ?tel p scheme (in_order p scheme) bench
+
+let normalized_with p scheme bench =
+  normalized_on p scheme (in_order p scheme)
+    ~baseline:(in_order { p with sb_size = p.baseline_sb } (Scheme.unprotected scheme))
+    bench

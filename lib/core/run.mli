@@ -1,5 +1,7 @@
 (** End-to-end driver: build a workload, compile it under a scheme, trace
-    it, replay the trace on the scheme's machine, and report counters.
+    it, replay the trace on a machine of either core, and report counters.
+    It is the one place the drivers simulate a trace or divide by a
+    baseline's cycles, so every overhead shares {!overhead}'s checks.
     Compilation and tracing are cached per (benchmark, scale, compile key):
     traces depend only on the binary, so one trace serves every WCDL /
     machine variation of a scheme.
@@ -12,6 +14,7 @@ open Turnpike_ir
 module Pass_pipeline = Turnpike_compiler.Pass_pipeline
 module Static_stats = Turnpike_compiler.Static_stats
 module Sim_stats = Turnpike_arch.Sim_stats
+module Machine_model = Turnpike_arch.Machine_model
 module Suite = Turnpike_workloads.Suite
 
 type compiled_run = {
@@ -48,18 +51,41 @@ val default_params : params
 
 val compile_with : params -> Scheme.t -> Suite.entry -> compiled_run
 
+val run_on :
+  ?tel:Turnpike_telemetry.sink ->
+  params ->
+  Scheme.t ->
+  Machine_model.t ->
+  Suite.entry ->
+  result
+(** Compile (cached), trace (cached) and simulate on [machine]. Of
+    [params] only [scale], [fuel] and [sb_size] are read: the machine
+    carries every timing knob. [tel] (default {!Turnpike_telemetry.null})
+    receives the simulation's cycle-stamped timeline (see
+    {!Machine_model.simulate}); compile spans are not routed here because
+    a cache hit would skip them — profile compiles with
+    {!Pass_pipeline.compile} directly. *)
+
+val normalized_on :
+  params ->
+  Scheme.t ->
+  Machine_model.t ->
+  baseline:Machine_model.t ->
+  Suite.entry ->
+  float * result
+(** Run the scheme on [machine] and its unprotected binary
+    ({!Scheme.unprotected}, compiled at [baseline_sb]) on [baseline],
+    returning (overhead, result).
+    @raise Degenerate_baseline if the baseline is degenerate (see {!overhead}). *)
+
 val run_with :
   ?tel:Turnpike_telemetry.sink -> params -> Scheme.t -> Suite.entry -> result
-(** Compile (cached), trace (cached) and simulate. [tel] (default
-    {!Turnpike_telemetry.null}) receives the simulation's cycle-stamped
-    timeline (see {!Turnpike_arch.Timing.simulate}); compile spans are
-    not routed here because a cache hit would skip them — profile
-    compiles with {!Pass_pipeline.compile} directly. *)
+(** {!run_on} the scheme's in-order machine at [params]' WCDL and SB size. *)
 
 val normalized_with : params -> Scheme.t -> Suite.entry -> float * result
-(** Run baseline (at [baseline_sb]) and scheme, returning
-    (overhead, result).
-    @raise Degenerate_baseline if the baseline simulated 0 cycles. *)
+(** {!normalized_on} the scheme's in-order machine, against the baseline
+    in-order machine at [baseline_sb].
+    @raise Degenerate_baseline if the baseline is degenerate (see {!overhead}). *)
 
 val clear_cache : unit -> unit
 (** Drop every cached compile/trace (forcing recompilation on the next
@@ -68,11 +94,13 @@ val clear_cache : unit -> unit
     its result. *)
 
 exception Degenerate_baseline of string
-(** Raised by {!overhead} when the baseline simulated zero cycles — an
-    empty or truncated trace that would otherwise masquerade as "no
-    overhead". The message names both runs. *)
+(** Raised by {!overhead} when the baseline retired no instructions or
+    simulated zero cycles — an empty or truncated trace that would
+    otherwise masquerade as a real overhead. The message names both
+    runs. *)
 
 val overhead : baseline:result -> result -> float
 (** Normalized execution time (the paper's y-axis): cycles divided by the
     baseline run's cycles.
-    @raise Degenerate_baseline if the baseline simulated 0 cycles. *)
+    @raise Degenerate_baseline if the baseline retired no instructions or
+    simulated 0 cycles. *)

@@ -16,6 +16,7 @@ type t = {
   sched : bool;
   clq : Clq.design option;
   coloring : bool;
+  unroll : int;
 }
 
 let baseline =
@@ -29,6 +30,7 @@ let baseline =
     sched = false;
     clq = None;
     coloring = false;
+    unroll = 1;
   }
 
 let turnstile = { baseline with name = "turnstile"; resilient = true }
@@ -62,6 +64,11 @@ let ladder =
   ]
 
 let with_clq t design = { t with clq = design }
+let with_unroll t factor = { t with unroll = factor }
+
+(* The normalization baseline of a binary: no resilience, same program
+   shape. *)
+let unprotected t = { baseline with unroll = t.unroll }
 
 let compile_opts t ~sb_size =
   {
@@ -73,6 +80,7 @@ let compile_opts t ~sb_size =
     pruning = t.pruning;
     licm = t.licm;
     sched = t.sched;
+    unroll = t.unroll;
   }
 
 let machine t ~wcdl ~sb_size =
@@ -91,5 +99,5 @@ let machine t ~wcdl ~sb_size =
 (* A key identifying the compile configuration: traces depend only on the
    compiled binary, not on the machine, so runs cache on this key. *)
 let compile_key t ~sb_size =
-  Printf.sprintf "sb%d:r%b:ra%b:iv%b:pr%b:li%b:sc%b" sb_size t.resilient
-    t.store_aware_ra t.livm t.pruning t.licm t.sched
+  Printf.sprintf "sb%d:r%b:ra%b:iv%b:pr%b:li%b:sc%b:u%d" sb_size t.resilient
+    t.store_aware_ra t.livm t.pruning t.licm t.sched t.unroll

@@ -16,6 +16,9 @@ type t = {
   sched : bool;
   clq : Clq.design option;
   coloring : bool;
+  unroll : int;
+      (** counted-loop unroll factor of the binary (1 = off); a compile
+          knob, so {!compile_key} covers it *)
 }
 
 val baseline : t
@@ -43,6 +46,14 @@ val ladder : t list
 (** The 8 configurations of the paper's Fig 21, in order. *)
 
 val with_clq : t -> Clq.design option -> t
+
+val with_unroll : t -> int -> t
+(** The same scheme compiled with counted loops unrolled by the given
+    factor (1 = off). *)
+
+val unprotected : t -> t
+(** The normalization baseline of a scheme's binary: {!baseline} with the
+    same unroll factor. *)
 
 val compile_opts : t -> sb_size:int -> Pass_pipeline.opts
 val machine : t -> wcdl:int -> sb_size:int -> Machine.t

@@ -53,7 +53,13 @@ let test_compile_keys_distinguish () =
     (Scheme.compile_key Scheme.turnpike ~sb_size:4
     <> Scheme.compile_key Scheme.turnstile ~sb_size:4);
   check_int "at least 7 distinct keys" 7
-    (List.length (List.sort_uniq compare keys))
+    (List.length (List.sort_uniq compare keys));
+  check "the unroll factor is part of the key" true
+    (Scheme.compile_key (Scheme.with_unroll Scheme.turnpike 2) ~sb_size:4
+    <> Scheme.compile_key Scheme.turnpike ~sb_size:4);
+  check "the unprotected binary keeps the unroll factor" true
+    (Scheme.compile_key (Scheme.unprotected (Scheme.with_unroll Scheme.turnpike 2)) ~sb_size:4
+    = Scheme.compile_key (Scheme.with_unroll Scheme.baseline 2) ~sb_size:4)
 
 (* ------------------------------------------------------------------ *)
 (* Run driver *)

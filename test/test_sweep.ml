@@ -1,10 +1,9 @@
-(* Tests for the sweep API and the design-space explorer: Pareto
-   dominance on crafted vectors, grid construction, the shared campaign
-   arg spec, determinism of the explorer at different job counts, and the
-   golden-CSV guarantee that the Sweep refactor of the WCDL/CLQ figures
-   did not move a byte of their output. *)
+(* Tests for the sweeps and the design-space explorer: Pareto dominance
+   on crafted vectors, grid construction, the shared campaign arg spec,
+   determinism of the explorer at different job counts, its refusal to
+   score a degenerate baseline, and golden CSVs of the figure sweeps and
+   drivers. *)
 
-module Sweep = Turnpike.Sweep
 module Pareto = Turnpike.Pareto
 module DP = Turnpike.Design_point
 module Explore = Turnpike.Explore
@@ -65,20 +64,7 @@ let test_rank () =
     (List.map snd (Pareto.rank ~objectives:id_obj chain) = [ 2; 0; 1 ])
 
 (* ------------------------------------------------------------------ *)
-(* Sweep axes and design grids. *)
-
-let test_axis () =
-  Alcotest.check_raises "empty axis rejected"
-    (Invalid_argument "Sweep.axis wcdl: empty value list") (fun () ->
-      ignore (Sweep.ints ~name:"wcdl" []));
-  let a = Sweep.ints ~name:"wcdl" [ 10; 20 ] in
-  check "values kept in order" true (a.Sweep.values = [ 10; 20 ]);
-  Alcotest.(check string) "int show" "20" (a.Sweep.show 20);
-  check_int "wcdl figures sweep the paper's five latencies" 5
-    (List.length E.wcdl_axis.Sweep.values);
-  check "clq axis labels" true
-    (List.map E.clq_axis.Sweep.show E.clq_axis.Sweep.values
-    = [ "ideal"; "compact2" ])
+(* Design grids. *)
 
 let test_grid_enumeration () =
   let pts = DP.grid DP.tiny_spec in
@@ -206,17 +192,38 @@ let test_explore_score_matches_batch () =
   List.iter
     (fun p ->
       let o =
-        Explore.score ~benches:(Explore.default_benches ())
-          ~params:explore_params ~budget ~seed:7 p.Explore.point
+        Explore.score ~benches:(Explore.default_benches ()) ~budget ~seed:7
+          p.Explore.point
       in
       check "re-scoring a frontier point is bit-identical" true
         (o = p.Explore.objectives))
     r.Explore.frontier
 
+let test_explore_degenerate_baseline () =
+  (* A program that returns at once retires nothing; its empty trace still
+     simulates one cycle, which would score every point as overhead 1.0.
+     The explorer must refuse to score it. *)
+  let halts =
+    {
+      Turnpike_workloads.Suite.name = "halts";
+      suite = Turnpike_workloads.Suite.User;
+      description = "returns at once";
+      build =
+        (fun ~scale:_ ->
+          let b = Turnpike_ir.Builder.create "halts" in
+          Turnpike_ir.Builder.label b "entry";
+          Turnpike_ir.Builder.ret b;
+          Turnpike_ir.Builder.finish b);
+    }
+  in
+  check "explorer raises Run.Degenerate_baseline" true
+    (match Explore.run ~benches:[ halts ] ~params:explore_params ~spec:DP.tiny_spec () with
+    | (_ : Explore.report) -> false
+    | exception Run.Degenerate_baseline _ -> true)
+
 (* ------------------------------------------------------------------ *)
-(* Golden CSVs: the Sweep refactor of fig19/fig20/fig14_15 kept their
-   CSV output byte-identical to the pre-refactor capture (committed under
-   test/golden, generated at scale 1, fuel 20000, jobs 1). *)
+(* Golden CSVs: fig19/fig20/fig14_15 stay byte-identical to the capture
+   committed under test/golden (scale 1, fuel 20000, jobs 1). *)
 
 let golden_params = { Run.default_params with Run.scale = 1; fuel = 20_000 }
 
@@ -310,11 +317,9 @@ let test_pin_motivation () =
        [ Scheme.baseline; Scheme.turnstile ] (E.benchmarks ()));
   check_pin "motivation.csv" "bench,ooo_overhead,inorder_overhead" rows
 
-let unrolled_trace (s : Scheme.t) factor (b : Turnpike_workloads.Suite.entry) =
-  let module PP = Turnpike_compiler.Pass_pipeline in
-  let opts = { (Scheme.compile_opts s ~sb_size:4) with PP.unroll = factor } in
-  let c = PP.compile ~opts (b.Turnpike_workloads.Suite.build ~scale:pin_params.Run.scale) in
-  fst (Turnpike_ir.Interp.trace_run ~fuel:pin_params.Run.fuel c.PP.prog)
+let unrolled_trace s factor b =
+  (Run.compile_with { pin_params with Run.sb_size = 4 } (Scheme.with_unroll s factor) b)
+    .Run.trace
 
 let test_pin_unroll () =
   let rows =
@@ -390,7 +395,6 @@ let tests =
     Alcotest.test_case "pareto-dominates" `Quick test_dominates;
     Alcotest.test_case "pareto-frontier" `Quick test_frontier;
     Alcotest.test_case "pareto-rank" `Quick test_rank;
-    Alcotest.test_case "sweep-axis" `Quick test_axis;
     Alcotest.test_case "grid-enumeration" `Quick test_grid_enumeration;
     Alcotest.test_case "design-point-lowering" `Quick test_design_point_lowering;
     Alcotest.test_case "campaign-args" `Quick test_campaign_args;
@@ -400,6 +404,8 @@ let tests =
       test_explore_halving_and_validation;
     Alcotest.test_case "explore-score-matches-batch" `Slow
       test_explore_score_matches_batch;
+    Alcotest.test_case "explore-degenerate-baseline" `Quick
+      test_explore_degenerate_baseline;
     Alcotest.test_case "golden-fig19" `Slow test_golden_fig19;
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;

@@ -23,8 +23,10 @@
 #                             that every command block in docs/TUTORIAL.md
 #                             runs verbatim, that each bench/main.exe cost
 #                             section passes its divergence checks at tiny
-#                             size, that --profile honours later flags and
-#                             a bad --csv directory exits 2, that the
+#                             size, that --profile honours later flags,
+#                             that a bad --csv directory exits 2 in the
+#                             bench harness and in every turnpike-cli
+#                             subcommand that takes one, that the
 #                             benchmark's quick sweep and verify runs
 #                             reproduce every recorded output digest, and
 #                             (advisorily) that the odoc docs build.
@@ -212,8 +214,6 @@ grep -q 'Sim_stats identical under both sinks' "$tmp/sec_telemetry.txt"
 dune exec --no-build bench/main.exe -- halving --grid tiny --scale 1 \
   --fuel 20000 > "$tmp/sec_halving.txt"
 grep -q 'frontier re-validated at full scale' "$tmp/sec_halving.txt"
-dune exec --no-build bench/main.exe -- frontend --scale 1 > "$tmp/sec_frontend.txt"
-grep -q '^total ' "$tmp/sec_frontend.txt"
 
 echo "== bench smoke: --profile honours flags given after it =="
 dune exec --no-build bench/main.exe -- --profile --scale 1 > "$tmp/profile.txt"
@@ -226,6 +226,17 @@ dune exec --no-build bench/main.exe -- --csv "$tmp/missing/dir" fig18 \
 test "$status" -eq 2
 test ! -s "$tmp/badcsv.txt"
 grep -q -- '--csv' "$tmp/badcsv.err"
+
+echo "== cli smoke: a bad --csv directory exits 2 before any work =="
+for cmd in "explore --grid tiny --scale 1" "inject -b libquan -n 2 --scale 1" \
+    "report -b libquan --scale 1" "lint --vuln -b libquan --scale 1"; do
+  status=0
+  dune exec --no-build bin/turnpike_cli.exe -- $cmd --csv "$tmp/missing/dir" \
+    > "$tmp/badcsv_cli.txt" 2> "$tmp/badcsv_cli.err" || status=$?
+  test "$status" -eq 2
+  test ! -s "$tmp/badcsv_cli.txt"
+  grep -q -- '--csv' "$tmp/badcsv_cli.err"
+done
 
 echo "== vuln smoke: static ACE/AVF tables at --jobs 1 vs --jobs 4 =="
 # The static vulnerability report must be byte-identical at any job
