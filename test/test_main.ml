@@ -20,4 +20,5 @@ let () =
       ("api", Test_api_surface.tests);
       ("sim-golden", Test_sim_golden.tests);
       ("alloc-budget", Test_alloc_budget.tests);
+      ("pass-cache", Test_pass_cache.tests);
     ]
