@@ -7,13 +7,17 @@
 
 open Turnpike_ir
 
-val insert : ?entry_live:Reg.t list -> Func.t -> Func.t * int
+val insert :
+  ?entry_live:Reg.t list -> ?ctx:Turnpike_analysis.Context.t -> Func.t -> Func.t * int
 (** Insert checkpoints (in place; the function is also returned) and report
     how many were inserted. Requires boundary markers
-    ({!Regions.partition} must have run). *)
+    ({!Regions.partition} must have run). The liveness comes from [ctx]
+    (default: a fresh context over the function), whose cache is
+    invalidated when checkpoints were inserted. *)
 
-val strip : Func.t -> Func.t
-(** Remove all checkpoint instructions (in place). *)
+val strip : ?ctx:Turnpike_analysis.Context.t -> Func.t -> Func.t
+(** Remove all checkpoint instructions (in place), invalidating [ctx]'s
+    cached analyses when any were removed. *)
 
 val count : Func.t -> int
 (** Static checkpoint-store count. *)

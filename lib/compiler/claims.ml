@@ -1,4 +1,5 @@
 open Turnpike_ir
+module Context = Turnpike_analysis.Context
 
 type t = {
   bypass_stores : (string * int) list;
@@ -16,10 +17,11 @@ let may_alias (ka, ba, oa) (kb, bb, ob) =
   else if Reg.is_zero ba && Reg.is_zero bb then oa = ob
   else true
 
-let compute func =
-  let cfg = Cfg.build func in
-  let dom = Dominance.compute cfg in
-  let live = Liveness.compute cfg func in
+let compute ?ctx func =
+  let ctx = Context.for_func ?ctx func in
+  let cfg = Context.cfg ctx in
+  let dom = Context.dominance ctx in
+  let live = Context.liveness ctx in
   (* All load accesses of the function, once. *)
   let loads =
     Func.fold_instrs

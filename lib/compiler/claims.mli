@@ -20,6 +20,7 @@ type t = {
 
 val empty : t
 
-val compute : Func.t -> t
+val compute : ?ctx:Turnpike_analysis.Context.t -> Func.t -> t
 (** Conservative claim inference on the final (post-scheduling) function.
-    Results are sorted and deterministic. *)
+    Results are sorted and deterministic. Analyses come from [ctx]
+    (default: a fresh context over the function). *)

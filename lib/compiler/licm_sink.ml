@@ -11,15 +11,15 @@
    deduplicated. *)
 
 open Turnpike_ir
+module Context = Turnpike_analysis.Context
 
 type result = { func : Func.t; moved : int; eliminated : int }
 
-let run func =
-  let cfg = Cfg.build func in
-  let dom = Dominance.compute cfg in
-  let loops = Loop_info.compute cfg dom in
-  let live = Liveness.compute cfg func in
-  let regions = Regions.of_func func in
+let run ?ctx func =
+  let ctx = Context.for_func ?ctx func in
+  let loops = Context.loops ctx in
+  let live = Context.liveness ctx in
+  let regions = Regions.of_func ~ctx func in
   let moved = ref 0 in
   let depth l = Loop_info.depth loops l in
   (* For each region: map checkpoint (block, reg) to a sink target block. *)

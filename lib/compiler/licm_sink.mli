@@ -16,5 +16,7 @@ type result = {
   eliminated : int;  (** redundant duplicates removed afterwards *)
 }
 
-val run : Func.t -> result
-(** Requires boundary markers and checkpoints to be present. *)
+val run : ?ctx:Turnpike_analysis.Context.t -> Func.t -> result
+(** Requires boundary markers and checkpoints to be present. Analyses
+    come from [ctx] (default: a fresh context over the function), read
+    before the first edit. *)

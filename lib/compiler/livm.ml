@@ -12,6 +12,7 @@
    Runs before register allocation, on virtual registers. *)
 
 open Turnpike_ir
+module Context = Turnpike_analysis.Context
 
 type merge = {
   victim : Reg.t;
@@ -89,11 +90,12 @@ let mergeable ~anchor:r1 ~victim:r2 =
   && r2.step / r1.step > 0
   && not (Reg.equal r1.reg r2.reg)
 
-let run func =
-  let cfg = Cfg.build func in
-  let dom = Dominance.compute cfg in
-  let loops = Loop_info.compute cfg dom in
-  let live = Liveness.compute cfg func in
+let run ?ctx func =
+  let ctx = Context.for_func ?ctx func in
+  let cfg = Context.cfg ctx in
+  let dom = Context.dominance ctx in
+  let loops = Context.loops ctx in
+  let live = Context.liveness ctx in
   let merged = ref 0 in
   let merges = ref [] in
   let fresh =

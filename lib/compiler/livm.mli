@@ -29,4 +29,4 @@ type result = {
   merges : merge list;  (** one record per elimination, in merge order *)
 }
 
-val run : Func.t -> result
+val run : ?ctx:Turnpike_analysis.Context.t -> Func.t -> result

@@ -69,6 +69,7 @@ type t = {
   diags : Analysis.Diag.t list;
   check_log : (string * string list) list;
   stats : Static_stats.t;
+  ctx : Analysis.Context.t;
 }
 
 let count_code_size func =
@@ -80,17 +81,20 @@ let count_code_size func =
    stores, so they count against the region store budget, but they can only
    be placed once regions exist. Iterate until the worst region path fits
    the budget (or the budget bottoms out at 1). *)
-let partition_and_checkpoint func ~sb_size ~entry_live stats =
+let partition_and_checkpoint ctx ~sb_size ~entry_live stats =
+  let func = ctx.Analysis.Context.func in
   let target = max 1 (sb_size / 2) in
   (* Each round partitions with the previous round's checkpoints still in
      place (so they count against the store budget), then re-inserts
      checkpoints relative to the new boundaries. The budget tightens when
-     re-partitioning alone stops making progress. *)
+     re-partitioning alone stops making progress. Every step invalidates
+     [ctx] for what it edits, so the CFG, dominance and loops survive the
+     rounds that split no block. *)
   let rec attempt budget iter =
-    ignore (Regions.partition ~budget func);
-    ignore (Checkpoint.strip func);
-    let _, inserted = Checkpoint.insert ~entry_live func in
-    let structure = Regions.of_func func in
+    ignore (Regions.partition ~budget ~ctx func);
+    ignore (Checkpoint.strip ~ctx func);
+    let _, inserted = Checkpoint.insert ~entry_live ~ctx func in
+    let structure = Regions.of_func ~ctx func in
     let worst = Regions.worst_region_path func structure in
     if worst <= target || iter >= 8 then begin
       stats.Static_stats.ckpts_inserted <- inserted;
@@ -106,9 +110,8 @@ let partition_and_checkpoint func ~sb_size ~entry_live stats =
   in
   attempt target 0
 
-let live_in_table func regions =
-  let cfg = Cfg.build func in
-  let live = Liveness.compute cfg func in
+let live_in_table ctx regions =
+  let live = Analysis.Context.liveness ctx in
   List.map
     (fun (r : Regions.region) ->
       {
@@ -122,9 +125,12 @@ let live_in_table func regions =
       })
     (Regions.regions regions)
 
-(* Mutable pipeline state threaded through the declared pass list. *)
+(* Mutable pipeline state threaded through the declared pass list. [ctx]
+   describes [prog.func] and carries the analysis cache every pass and
+   check reads; it is stepped across each pass by the pass's [dirties]. *)
 type env = {
   mutable prog : Prog.t;
+  mutable ctx : Analysis.Context.t;
   stats : Static_stats.t;
   mutable recovery_exprs : (Reg.t, Recovery_expr.t) Hashtbl.t;
   mutable regions : region_info array;
@@ -141,11 +147,14 @@ type pass = {
       (* what the options must provide for this pass to be available;
          quoted by the pipeline-spec validator's diagnostics *)
   dirties : Analysis.Facet.Set.t;
-      (* facets the pass may touch — the incremental registry re-runs
-         exactly the checks whose read sets intersect these. Declare
-         conservatively: a spurious facet only costs a redundant
-         re-check, a missing one would silently drop diagnostics
-         (tools/check.sh pins incremental ≡ full re-check output). *)
+      (* facets the pass may touch. After the pass they invalidate the
+         shared analysis cache, and the incremental registry re-runs
+         exactly the checks whose read sets intersect them. Declare
+         conservatively: a spurious facet only costs a recomputed
+         analysis and a redundant re-check, while a missing one hands a
+         stale CFG, liveness or dominance to every later pass and check
+         (the compile goldens and the Off ≡ PerPassFull oracle test,
+         which rebuilds every analysis fresh, catch it). *)
   reads : Analysis.Facet.Set.t;
       (* facets the pass's own transformation depends on. User-composed
          pipelines are validated against these: for passes P, Q in
@@ -153,11 +162,13 @@ type pass = {
          pipeline may run Q before P. *)
   action : env -> bool;
       (* returns whether the pass changed anything. A pass that reports
-         [false] charges no dirty facets at all — its round of checks is
-         skipped entirely. The report must be honest in the same sense
-         the facet declaration must: claiming no-change while mutating
-         would drop diagnostics, and the incremental ≡ full-re-check diff
-         would catch it. *)
+         [false] charges no dirty facets at all — the analysis cache
+         survives it and its round of checks is skipped entirely. The
+         report must be honest in the same sense the facet declaration
+         must: claiming no-change while mutating would keep stale
+         analyses and drop diagnostics. A pass that edits the function
+         and then reads an analysis again within its own run must
+         [Context.invalidate] [env.ctx] in between. *)
 }
 
 let facets = Analysis.Facet.Set.of_list
@@ -188,7 +199,7 @@ let passes : pass list =
       reads = facets [ Analysis.Facet.Cfg_shape; Analysis.Facet.Instrs ];
       action =
         (fun env ->
-          let r = Livm.run env.prog.Prog.func in
+          let r = Livm.run ~ctx:env.ctx env.prog.Prog.func in
           env.stats.Static_stats.livm_merged_ivs <- r.Livm.merged;
           env.iv_merges <- r.Livm.merges;
           r.Livm.merged > 0);
@@ -209,7 +220,7 @@ let passes : pass list =
             }
           in
           let func = env.prog.Prog.func in
-          let ra = Regalloc.run ~config:ra_config func in
+          let ra = Regalloc.run ~config:ra_config ~ctx:env.ctx func in
           env.stats.Static_stats.spill_stores <- ra.Regalloc.spill_stores;
           env.stats.Static_stats.spill_loads <- ra.Regalloc.spill_loads;
           env.stats.Static_stats.spilled_vregs <- ra.Regalloc.spilled_vregs;
@@ -246,8 +257,8 @@ let passes : pass list =
         (fun env ->
           let entry_live = List.map fst env.prog.Prog.reg_init in
           ignore
-            (partition_and_checkpoint env.prog.Prog.func
-               ~sb_size:env.e_opts.sb_size ~entry_live env.stats);
+            (partition_and_checkpoint env.ctx ~sb_size:env.e_opts.sb_size
+               ~entry_live env.stats);
           true);
     };
     {
@@ -265,7 +276,7 @@ let passes : pass list =
           ];
       action =
         (fun env ->
-          let r = Pruning.run env.prog.Prog.func in
+          let r = Pruning.run ~ctx:env.ctx env.prog.Prog.func in
           env.stats.Static_stats.ckpts_pruned <- r.Pruning.pruned;
           env.recovery_exprs <- r.Pruning.exprs;
           r.Pruning.pruned > 0 || Hashtbl.length r.Pruning.exprs > 0);
@@ -285,7 +296,7 @@ let passes : pass list =
           ];
       action =
         (fun env ->
-          let r = Licm_sink.run env.prog.Prog.func in
+          let r = Licm_sink.run ~ctx:env.ctx env.prog.Prog.func in
           env.stats.Static_stats.ckpts_licm_moved <- r.Licm_sink.moved;
           env.stats.Static_stats.ckpts_licm_eliminated <- r.Licm_sink.eliminated;
           r.Licm_sink.moved > 0 || r.Licm_sink.eliminated > 0);
@@ -333,12 +344,12 @@ let passes : pass list =
         (fun env ->
           let func = env.prog.Prog.func in
           env.stats.Static_stats.code_size <- count_code_size func;
-          let structure = Regions.of_func func in
-          let infos = live_in_table func structure in
+          let structure = Regions.of_func ~ctx:env.ctx func in
+          let infos = live_in_table env.ctx structure in
           let regions = Array.of_list infos in
           Array.sort (fun a b -> compare a.id b.id) regions;
           env.regions <- regions;
-          env.claims <- Claims.compute func;
+          env.claims <- Claims.compute ~ctx:env.ctx func;
           true);
     };
   ]
@@ -533,20 +544,20 @@ let conv_merges merges =
       })
     merges
 
-let context_of ?pass ?(iv_merges = []) ~prog ~(opts : opts) ~recovery_exprs
-    ~claims ~regalloc_done () =
-  Analysis.Context.make
-    ~entry_defined:(Reg.Set.of_list (List.map fst prog.Prog.reg_init))
-    ~nregs:opts.nregs
-    ~allow_virtual:(not regalloc_done)
-    ~resilient:opts.resilient ~sb_size:opts.sb_size
-    ~recovery_exprs:(sorted_exprs recovery_exprs)
-    ?claims:(conv_claims claims) ~iv_merges:(conv_merges iv_merges) ?pass
-    prog.Prog.func
+let entry_defined (prog : Prog.t) = Reg.Set.of_list (List.map fst prog.Prog.reg_init)
 
+(* The compiled result's context shares the pipeline's final cache. Its
+   claims and recovery expressions are read from the record (so a caller
+   that edits them audits the edit), and the per-pass IV merge claims
+   are dropped: they only meant something to the pair check right after
+   [livm]. *)
 let analysis_context ?pass (t : t) =
-  context_of ?pass ~prog:t.prog ~opts:t.opts ~recovery_exprs:t.recovery_exprs
-    ~claims:(Some t.claims) ~regalloc_done:true ()
+  {
+    (Analysis.Context.with_pass t.ctx pass) with
+    Analysis.Context.claims = conv_claims (Some t.claims);
+    recovery_exprs = sorted_exprs t.recovery_exprs;
+    iv_merges = [];
+  }
 
 let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
     ?pipeline (prog : Prog.t) =
@@ -561,9 +572,18 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
   in
   let stats = Static_stats.create () in
   let prog = Prog.with_func prog (Func.copy prog.Prog.func) in
+  (* [PerPassFull] is the oracle for the cache as well as for the
+     incremental registry: its context memoizes nothing, so every pass
+     and check reads analyses rebuilt from the function as it stands. *)
+  let ctx =
+    Analysis.Context.make ~memo:(check <> PerPassFull)
+      ~entry_defined:(entry_defined prog) ~nregs:opts.nregs ~allow_virtual:true
+      ~resilient:opts.resilient ~sb_size:opts.sb_size prog.Prog.func
+  in
   let env =
     {
       prog;
+      ctx;
       stats;
       recovery_exprs = Hashtbl.create 0;
       regions = [||];
@@ -581,37 +601,24 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
        that the checker has nothing to audit. *)
     if env.claims == Claims.empty then None else Some env.claims
   in
-  let env_context ?pass env =
-    context_of ?pass ~iv_merges:env.iv_merges ~prog:env.prog ~opts:env.e_opts
-      ~recovery_exprs:env.recovery_exprs ~claims:(claims_of env)
-      ~regalloc_done:env.regalloc_done ()
+  (* Step the context across one pass: carry forward every analysis the
+     dirty facets leave valid and refresh the pipeline facts. *)
+  let step ~pass ~dirty =
+    env.ctx <-
+      Analysis.Context.advance ~dirty ~entry_defined:(entry_defined env.prog)
+        ~allow_virtual:(not env.regalloc_done)
+        ~recovery_exprs:(sorted_exprs env.recovery_exprs)
+        ?claims:(conv_claims (claims_of env))
+        ~iv_merges:(conv_merges env.iv_merges) ~pass env.ctx env.prog.Prog.func
   in
   let per_pass = check = PerPass || check = PerPassFull in
   let whole_names =
     List.map (fun (c : Analysis.Registry.whole) -> c.Analysis.Registry.name)
       Analysis.Registry.whole_checks
   in
-  (* Incremental state ([PerPass] only): the context is stepped across
-     each pass with [Context.advance], carrying forward every derived
-     analysis the pass's dirty facets leave valid, and the registry
-     re-runs only the checks whose read sets those facets intersect. *)
+  (* Incremental state ([PerPass] only): the registry re-runs only the
+     checks whose read sets the pass's dirty facets intersect. *)
   let inc = Analysis.Registry.inc_create () in
-  let ictx : Analysis.Context.t option ref = ref None in
-  let step_context ?pass ~dirty env =
-    let ctx =
-      match (check, !ictx) with
-      | PerPass, Some prev ->
-        Analysis.Context.advance ~dirty
-          ~entry_defined:(Reg.Set.of_list (List.map fst env.prog.Prog.reg_init))
-          ~allow_virtual:(not env.regalloc_done)
-          ~recovery_exprs:(sorted_exprs env.recovery_exprs)
-          ?claims:(conv_claims (claims_of env))
-          ~iv_merges:(conv_merges env.iv_merges) ?pass prev env.prog.Prog.func
-      | _ -> env_context ?pass env
-    in
-    if check = PerPass then ictx := Some ctx;
-    ctx
-  in
   let run_whole_on ~dirty ctx =
     match check with
     | PerPass ->
@@ -627,8 +634,7 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
      pass provenance; anything that appears later is attributed to the
      first pass after which the registry reports it. *)
   if per_pass then begin
-    let dirty = Analysis.Facet.all in
-    let ran = run_whole_on ~dirty (step_context ~dirty env) in
+    let ran = run_whole_on ~dirty:Analysis.Facet.all env.ctx in
     check_log := ("<input>", ran) :: !check_log
   end;
   List.iter
@@ -639,30 +645,31 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
         else None
       in
       let changed = run_pass tel stats p.pname (fun () -> p.action env) in
+      (* A pass that reports no change charges nothing: the analyses and
+         the checks (pair and whole alike) would see the exact state the
+         previous round already saw. The [PerPassFull] oracle still
+         re-runs every whole check on freshly rebuilt analyses, so
+         tools/check.sh's byte-diff verifies the skip is
+         output-preserving. *)
+      let dirty = if changed then p.dirties else Analysis.Facet.Set.empty in
+      step ~pass:p.pname ~dirty;
       if per_pass then begin
-        (* A pass that reports no change charges nothing: its checks
-           (pair and whole alike) would see the exact state the previous
-           round already checked. The [PerPassFull] oracle still re-runs
-           every whole check, so tools/check.sh's byte-diff verifies the
-           skip is output-preserving. *)
-        let dirty =
-          if changed then p.dirties else Analysis.Facet.Set.empty
-        in
-        let ctx = step_context ~pass:p.pname ~dirty env in
         let pair_ran =
           match snapshot with
           | Some before when changed ->
-            let ds = Analysis.Registry.run_pair ~pass:p.pname ~before ctx in
+            let ds = Analysis.Registry.run_pair ~pass:p.pname ~before env.ctx in
             diags := !diags @ Analysis.Registry.fresh ~seen ds;
             Analysis.Registry.pair_names_for p.pname
           | Some _ | None -> []
         in
-        let whole_ran = run_whole_on ~dirty ctx in
+        let whole_ran = run_whole_on ~dirty env.ctx in
         check_log := (p.pname, pair_ran @ whole_ran) :: !check_log
       end)
     pass_seq;
   if check = Final then begin
-    let ran = run_whole_on ~dirty:Analysis.Facet.all (env_context env) in
+    let ran =
+      run_whole_on ~dirty:Analysis.Facet.all (Analysis.Context.with_pass env.ctx None)
+    in
     check_log := ("<final>", ran) :: !check_log
   end;
   if not opts.resilient then
@@ -676,6 +683,7 @@ let compile ?(opts = turnstile_opts) ?(tel = Telemetry.null) ?(check = Off)
     diags = Analysis.Diag.sort !diags;
     check_log = List.rev !check_log;
     stats;
+    ctx = env.ctx;
   }
 
 let region_info (t : t) id =

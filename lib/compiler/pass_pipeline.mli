@@ -40,12 +40,16 @@ val turnpike_opts : opts
     pass that introduced it, and pair checks (induction-variable merge
     audit, scheduling dependence preservation) compare before/after
     snapshots. [PerPass] is incremental: each pass declares the IR facets
-    it may dirty and only the checks reading those facets re-run, with the
-    analysis context's derived analyses carried across passes.
-    [PerPassFull] forces the pre-incremental behavior — every check after
-    every pass on a fresh context — and must produce byte-identical
-    diagnostics (the redundant re-runs are deduplicated by provenance);
-    it exists as the oracle the incremental engine is diffed against. *)
+    it may dirty and only the checks reading those facets re-run.
+    At every level the passes read their CFG, liveness, dominance and
+    loops from one analysis context whose cache each pass's dirty facets
+    invalidate. [PerPassFull] forces the pre-incremental behavior —
+    every check after every pass — on a context that memoizes nothing,
+    so passes and checks alike read freshly rebuilt analyses. It must
+    produce byte-identical diagnostics (the redundant re-runs are
+    deduplicated by provenance) and the same compiled program as [Off]:
+    it exists as the oracle the incremental engine and the analysis
+    cache are diffed against. *)
 type check_level = Off | Final | PerPass | PerPassFull
 
 type region_info = {
@@ -70,6 +74,10 @@ type t = {
           pass (and ["<final>"] under [Final]), the checks that actually
           ran — what [lint --explain] prints. Empty for [Off]. *)
   stats : Static_stats.t;
+  ctx : Turnpike_analysis.Context.t;
+      (** the analysis context the passes and checks shared, stepped past
+          the last pass: its cache holds the analyses of [prog.func] that
+          are still valid. Read it through {!analysis_context}. *)
 }
 
 val pass_names : opts -> string list
@@ -128,8 +136,11 @@ val compile :
 
 val analysis_context : ?pass:string -> t -> Turnpike_analysis.Context.t
 (** Analysis context over the compiled result (claims and recovery
-    expressions included) — for running additional registry passes, e.g.
-    with machine parameters via
-    {!Turnpike_analysis.Context.with_machine}. *)
+    expressions included, read from [t]'s fields) — for running
+    additional registry passes or {!Turnpike_analysis.Vuln.compute},
+    e.g. with machine parameters via
+    {!Turnpike_analysis.Context.with_machine}. It shares the compile's
+    warm analysis cache: a caller that edits [t.prog.func] afterwards
+    must {!Turnpike_analysis.Context.invalidate} the facets it edited. *)
 
 val region_info : t -> int -> region_info option

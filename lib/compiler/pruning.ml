@@ -22,6 +22,7 @@
    real by the resilience engine, so soundness is tested end to end. *)
 
 open Turnpike_ir
+module Context = Turnpike_analysis.Context
 
 type result = {
   func : Func.t;
@@ -53,7 +54,8 @@ let collect_sites func =
     func;
   (defs, ckpts)
 
-let run func =
+let run ?ctx func =
+  let ctx = Context.for_func ?ctx func in
   let defs, ckpts = collect_sites func in
   let single_def r =
     match Hashtbl.find_opt defs r with
@@ -132,7 +134,7 @@ let run func =
      a two-sided branch with a reconstructible predicate. Diamond-pruned
      registers are multi-definition, so no straight-line expression can
      reference them — a single pass after the fixpoint is enough. *)
-  let cfg = Cfg.build func in
+  let cfg = Context.cfg ctx in
   let diamond = Hashtbl.create 8 in
   Hashtbl.iter
     (fun r sites ->

@@ -17,4 +17,4 @@ type result = {
   pruned : int;  (** checkpoint instructions removed *)
 }
 
-val run : Func.t -> result
+val run : ?ctx:Turnpike_analysis.Context.t -> Func.t -> result

@@ -38,6 +38,7 @@ val remap_inputs : result -> (Reg.t * int) list -> (Reg.t * int) list * (int * i
     returns the new register inputs plus memory-image additions for
     spilled inputs. *)
 
-val run : ?config:config -> Func.t -> result
+val run : ?config:config -> ?ctx:Turnpike_analysis.Context.t -> Func.t -> result
 (** Allocate in place. Three registers are reserved as spill scratch;
-    register 0 is never allocated. *)
+    register 0 is never allocated. Analyses come from [ctx] (default: a
+    fresh context over the function), read before the rewrite. *)

@@ -8,6 +8,8 @@
    predecessor; a region is thus a single-entry tree of whole blocks. *)
 
 open Turnpike_ir
+module Context = Turnpike_analysis.Context
+module Facet = Turnpike_analysis.Facet
 
 type region = { id : int; head : string; blocks : string list }
 
@@ -36,8 +38,10 @@ let strip func =
    splits (a cascade ending in 2-instruction regions). Each cut is
    therefore placed at the legal position with the FEWEST live registers
    (liveness-aware region formation), never separating an eager
-   checkpoint from the definition right above it. *)
-let split_oversized_blocks func ~budget =
+   checkpoint from the definition right above it. Returns whether any
+   block was split. *)
+let split_oversized_blocks ctx ~budget =
+  let func = ctx.Context.func in
   (* Partitioning may run several times on the same function (the pipeline
      iterates with checkpoints in place), so fresh labels must dodge the
      labels of earlier rounds. *)
@@ -47,16 +51,16 @@ let split_oversized_blocks func ~budget =
     let l = Printf.sprintf "%s.part%d" base !counter in
     if Hashtbl.mem func.Func.blocks l then fresh_label base else l
   in
-  let cfg = Cfg.build func in
-  let live = Liveness.compute cfg func in
   let oversized =
     List.filter (fun b -> Block.num_stores b > budget) (Func.blocks func)
   in
+  let split = ref false in
+  let live = lazy (Context.liveness ctx) in
   List.iter
     (fun (b : Block.t) ->
       let body = b.Block.body in
       let n = Array.length body in
-      let live_at = Liveness.live_before_each live b in
+      let live_at = Liveness.live_before_each (Lazy.force live) b in
       (* A cut before position j is legal when it does not separate an
          eager checkpoint from its producing definition. *)
       let legal j =
@@ -118,6 +122,7 @@ let split_oversized_blocks func ~budget =
           in
           slice 0 cuts
         in
+        split := true;
         (match segments with
         | first :: rest ->
           Block.set_body b first;
@@ -133,7 +138,8 @@ let split_oversized_blocks func ~budget =
               prev := nb)
             rest
         | [] -> ()))
-    oversized
+    oversized;
+  !split
 
 let mandatory_heads func cfg loops =
   let heads = ref (SS.singleton func.Func.entry) in
@@ -188,16 +194,19 @@ let insert_boundaries func heads =
       end)
     (Func.labels func)
 
-let partition ?(budget = 2) func =
+let partition ?(budget = 2) ?ctx func =
   if budget < 1 then invalid_arg "Regions.partition: budget must be >= 1";
+  let ctx = Context.for_func ?ctx func in
+  let boundaries = Facet.Set.singleton Facet.Boundaries in
   let func = strip func in
-  split_oversized_blocks func ~budget;
-  let cfg = Cfg.build func in
-  let dom = Dominance.compute cfg in
-  let loops = Loop_info.compute cfg dom in
-  let heads = mandatory_heads func cfg loops in
+  Context.invalidate ctx boundaries;
+  if split_oversized_blocks ctx ~budget then
+    Context.invalidate ctx (Facet.Set.of_list [ Facet.Cfg_shape; Facet.Instrs ]);
+  let cfg = Context.cfg ctx in
+  let heads = mandatory_heads func cfg (Context.loops ctx) in
   let heads = budget_heads func cfg heads ~budget in
   insert_boundaries func heads;
+  Context.invalidate ctx boundaries;
   func
 
 let head_of_block (b : Block.t) =
@@ -206,8 +215,8 @@ let head_of_block (b : Block.t) =
   | _ -> (
     match b.Block.body.(0) with Instr.Boundary id -> Some id | _ -> None)
 
-let of_func func =
-  let cfg = Cfg.build func in
+let of_func ?ctx func =
+  let cfg = Context.cfg (Context.for_func ?ctx func) in
   let of_block = Hashtbl.create 64 in
   let members = Hashtbl.create 16 in
   let add id l =

@@ -17,17 +17,20 @@ type region = {
 
 type t
 
-val partition : ?budget:int -> Func.t -> Func.t
+val partition : ?budget:int -> ?ctx:Turnpike_analysis.Context.t -> Func.t -> Func.t
 (** Strip any existing boundaries and re-partition the function in place
     (oversized blocks are physically split; the same function is
     returned). [budget] is the max SB writes per region path, normally
-    [sb_size / 2]. @raise Invalid_argument when [budget < 1]. *)
+    [sb_size / 2]. Analyses come from [ctx] (default: a fresh context
+    over the function); the pass invalidates its cache after each edit.
+    @raise Invalid_argument when [budget < 1]. *)
 
 val strip : Func.t -> Func.t
 (** Remove all boundary markers (in place). *)
 
-val of_func : Func.t -> t
-(** Recover the region structure from boundary markers.
+val of_func : ?ctx:Turnpike_analysis.Context.t -> Func.t -> t
+(** Recover the region structure from boundary markers (the CFG comes
+    from [ctx], default a fresh context over the function).
     @raise Invalid_argument if a non-head block has several predecessors
     (partitioning invariant violation). *)
 

@@ -345,8 +345,12 @@ let convicted ?config c =
   let rep = Verifier.run_campaign ?config ~golden ~compiled:c faults in
   rep.Verifier.sdc + rep.Verifier.crashed
 
+(* Mutants edit the compiled function in place, so the analyses cached
+   during compilation are dropped before the audit. *)
 let mutant_errors ~pass c =
-  errors (Registry.run_whole (PP.analysis_context ~pass c))
+  let ctx = PP.analysis_context ~pass c in
+  Context.invalidate ctx Analysis.Facet.all;
+  errors (Registry.run_whole ctx)
 
 let test_mutant_dropped_checkpoint () =
   (* A buggy "pruning" that deletes checkpoints without recording recovery
