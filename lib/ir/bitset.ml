@@ -25,6 +25,18 @@ let copy = Array.copy
 
 let equal (a : t) (b : t) = a = b
 
+let clear bs = Array.fill bs 0 (Array.length bs) 0
+
+let assign ~dst src =
+  let changed = ref false in
+  for w = 0 to Array.length dst - 1 do
+    if dst.(w) <> src.(w) then begin
+      dst.(w) <- src.(w);
+      changed := true
+    end
+  done;
+  !changed
+
 let union_into ~dst src =
   for w = 0 to Array.length dst - 1 do
     dst.(w) <- dst.(w) lor src.(w)
@@ -41,6 +53,17 @@ let transfer ~gen ~kill src =
     out.(w) <- src.(w) land lnot kill.(w) lor gen.(w)
   done;
   out
+
+let transfer_into ~dst ~gen ~kill src =
+  let changed = ref false in
+  for w = 0 to Array.length dst - 1 do
+    let v = src.(w) land lnot kill.(w) lor gen.(w) in
+    if dst.(w) <> v then begin
+      dst.(w) <- v;
+      changed := true
+    end
+  done;
+  !changed
 
 let iter f bs =
   for w = 0 to Array.length bs - 1 do

@@ -31,6 +31,12 @@ val copy : t -> t
 val equal : t -> t -> bool
 (** Same elements (same-universe sets only). *)
 
+val clear : t -> unit
+(** Remove every member. *)
+
+val assign : dst:t -> t -> bool
+(** [dst := src], in place; true when [dst] changed. *)
+
 val union_into : dst:t -> t -> unit
 (** [dst := dst ∪ src]. *)
 
@@ -40,6 +46,11 @@ val inter_into : dst:t -> t -> unit
 val transfer : gen:t -> kill:t -> t -> t
 (** [(src \ kill) ∪ gen], freshly allocated — the classic dataflow block
     transfer. *)
+
+val transfer_into : dst:t -> gen:t -> kill:t -> t -> bool
+(** [dst := (src \ kill) ∪ gen], in place; true when [dst] changed. The
+    allocation-free form of {!transfer} for fixpoints that update their
+    solution arrays where they stand. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Applies the callback to every member, in increasing order. *)
