@@ -229,87 +229,6 @@ let validate_exprs ~def_sites (ctx : Context.t) =
     !diags
   end
 
-(* Not-covered sets per block entry; absent register = covered. Runs on
-   {!Bitset}s: the universe is the registers the function defines or
-   checkpoints (anything else is untouched, hence covered). *)
-let compute_notcov ctx =
-  let func = ctx.Context.func in
-  let cfg = Context.cfg ctx in
-  let rpo = Cfg.reverse_postorder cfg in
-  let max_id = ref 0 in
-  let bump r = if r > !max_id then max_id := r in
-  Func.iter_blocks
-    (fun b ->
-      Array.iter
-        (fun i ->
-          (match i with Instr.Ckpt r -> bump r | _ -> ());
-          Instr.iter_defs bump i)
-        b.Block.body)
-    func;
-  let max_id = !max_id in
-  (* The sequential transfer (Ckpt covers, def stales) collapses to a
-     last-event-wins summary per register, so each block contributes a
-     gen set (last touch was a def) and a kill set (last touch was a
-     checkpoint), computed once instead of per fixpoint iteration:
-     out = (in \ kill) ∪ gen. *)
-  (* Dense reverse-postorder indices, as in [Wellformed]: the fixpoint
-     iterations touch only arrays. *)
-  let rpo_arr = Array.of_list rpo in
-  let n = Array.length rpo_arr in
-  let idx : (string, int) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i l -> Hashtbl.replace idx l i) rpo_arr;
-  let gen_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let kill_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  Array.iteri
-    (fun bi label ->
-      let gen = gen_arr.(bi) and kill = kill_arr.(bi) in
-      Array.iter
-        (fun i ->
-          (match i with
-          | Instr.Ckpt r ->
-            Bitset.add kill r;
-            Bitset.remove gen r
-          | _ -> ());
-          Instr.iter_defs
-            (fun r ->
-              Bitset.add gen r;
-              Bitset.remove kill r)
-            i)
-        (Func.block func label).Block.body)
-    rpo_arr;
-  let preds_arr =
-    Array.map
-      (fun label ->
-        List.filter_map
-          (fun p -> Hashtbl.find_opt idx p)
-          (Cfg.predecessors cfg label))
-      rpo_arr
-  in
-  let entry_i = Option.value (Hashtbl.find_opt idx func.Func.entry) ~default:0 in
-  let in_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let out_arr = Array.init n (fun _ -> Bitset.create ~max_id) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for i = 0 to n - 1 do
-      let input = Bitset.create ~max_id in
-      (* The entry starts all-covered regardless of back edges into it. *)
-      if i <> entry_i then
-        List.iter
-          (fun p -> Bitset.union_into ~dst:input out_arr.(p))
-          preds_arr.(i);
-      in_arr.(i) <- input;
-      let o = Bitset.transfer ~gen:gen_arr.(i) ~kill:kill_arr.(i) input in
-      if not (Bitset.equal out_arr.(i) o) then begin
-        out_arr.(i) <- o;
-        changed := true
-      end
-    done
-  done;
-  let in_sets : (string, Bitset.t) Hashtbl.t = Hashtbl.create n in
-  Array.iteri (fun i l -> Hashtbl.replace in_sets l in_arr.(i)) rpo_arr;
-  (max_id, in_sets)
-
 (* The coverage gaps alone (no expression validation): region live-ins
    that are stale on some incoming path and carry no recovery
    expression. This is the subset of [run]'s errors the static
@@ -319,19 +238,16 @@ let uncovered_live_ins (ctx : Context.t) =
   if not rv.Regions_view.has_regions then []
   else begin
     let live = Context.liveness ctx in
-    let notcov_max, notcov_in = compute_notcov ctx in
-    let notcov_empty = Bitset.create ~max_id:notcov_max in
+    let coverage = Context.coverage ctx in
     let expr_of r = List.assoc_opt r ctx.Context.recovery_exprs in
     List.concat_map
       (fun { Regions_view.id; head; _ } ->
-        let notcov =
-          Option.value (Hashtbl.find_opt notcov_in head) ~default:notcov_empty
-        in
+        let stale = Ckpt_coverage.stale_in coverage head in
         let needed = Reg.Set.remove Reg.zero (Liveness.live_in live head) in
         List.rev
           (Reg.Set.fold
              (fun r acc ->
-               if Bitset.mem notcov r && expr_of r = None then
+               if stale r && expr_of r = None then
                  (id, head, r) :: acc
                else acc)
              needed []))
@@ -345,8 +261,7 @@ let run (ctx : Context.t) =
   if not rv.Regions_view.has_regions then []
   else begin
     let live = Context.liveness ctx in
-    let notcov_max, notcov_in = compute_notcov ctx in
-    let notcov_empty = Bitset.create ~max_id:notcov_max in
+    let coverage = Context.coverage ctx in
     (* Only consulted for recovery expressions (validation and dependence
        stability). Rounds before pruning publishes any — notably the
        expensive post-partition one — never pay for the scan. *)
@@ -367,13 +282,11 @@ let run (ctx : Context.t) =
     let expr_of r = List.assoc_opt r ctx.Context.recovery_exprs in
     List.iter
       (fun { Regions_view.id; head; _ } ->
-        let notcov =
-          Option.value (Hashtbl.find_opt notcov_in head) ~default:notcov_empty
-        in
+        let stale = Ckpt_coverage.stale_in coverage head in
         let needed = Reg.Set.remove Reg.zero (Liveness.live_in live head) in
         Reg.Set.iter
           (fun r ->
-            if Bitset.mem notcov r then
+            if stale r then
               match expr_of r with
               | None ->
                 emit ~block:head Diag.Error
@@ -383,7 +296,7 @@ let run (ctx : Context.t) =
               | Some e ->
                 List.iter
                   (fun dep ->
-                    if Bitset.mem notcov dep then
+                    if stale dep then
                       emit ~block:head Diag.Error
                         (Printf.sprintf
                            "recovery expression for %s reads the slot of %s, which is not covered at region %d"

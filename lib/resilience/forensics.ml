@@ -362,6 +362,9 @@ let drop_checkpoint_mutant (c : Pass_pipeline.t) =
                (fun i -> not (Instr.equal i (Instr.Ckpt victim)))
                (Array.to_list b.Block.body)))
       f;
+    (* The edit is in place: drop the analyses cached during compilation. *)
+    Turnpike_analysis.Context.invalidate c.Pass_pipeline.ctx
+      (Turnpike_analysis.Facet.Set.singleton Turnpike_analysis.Facet.Instrs);
     let affected =
       Array.to_list c.Pass_pipeline.regions
       |> List.filter_map (fun (ri : Pass_pipeline.region_info) ->

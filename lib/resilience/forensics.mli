@@ -131,7 +131,8 @@ val drop_checkpoint_mutant :
   Pass_pipeline.t -> (Pass_pipeline.t * Reg.t * int list) option
 (** Mutate the compiled program in place (shared with the differential
     tests): delete every checkpoint of one recoverable live-in register
-    and wipe the claims, modelling a pruning bug; returns the mutated
+    and wipe the claims, modelling a pruning bug (the compile's cached
+    analyses are invalidated for the edit); returns the mutated
     pipeline, the victim register and the sorted ids of the regions that
     carried it live-in (the ground-truth faulty sites), or [None] when no
     region has a checkpointed live-in. Restarts into an affected region
