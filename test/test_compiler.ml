@@ -204,6 +204,75 @@ let test_regalloc_spills_under_pressure () =
   check "spills happen" true (r.Regalloc.spilled_vregs > 0);
   check "spill code emitted" true (r.Regalloc.spill_stores > 0 && r.Regalloc.spill_loads > 0)
 
+let test_regalloc_spilled_read_modify_write () =
+  (* Five values live at once against a two-register pool (nregs 6
+     reserves r3-r5 as scratch), each updated in place: every spilled
+     value is read and written by one instruction, and its spill store
+     must write back the updated value. *)
+  let n = 5 in
+  let v i = Reg.virt i in
+  let body =
+    List.init n (fun i -> Instr.Mov (v i, Instr.Imm (10 * (i + 1))))
+    @ List.init n (fun i -> Instr.Binop (Instr.Add, v i, v i, Instr.Imm (i + 1)))
+    @ List.init n (fun i -> Instr.Store (v i, Reg.zero, Layout.data_base + i, Instr.App_mem))
+  in
+  let prog =
+    Prog.create (Func.create ~name:"rmw" ~entry:"e" [ Block.create ~body:(Array.of_list body) ~term:Block.Ret "e" ])
+  in
+  let r =
+    Regalloc.run ~config:{ Regalloc.default_config with Regalloc.nregs = 6 }
+      (Func.copy prog.Prog.func)
+  in
+  check "read-modify-write values spill" true (r.Regalloc.spilled_vregs > 0);
+  let st = Interp.run ~fuel:1_000 (Prog.with_func prog r.Regalloc.func) in
+  List.iter
+    (fun i ->
+      check_int (Printf.sprintf "value %d stored after its update" i)
+        ((10 * (i + 1)) + i + 1)
+        (Interp.get_mem st (Layout.data_base + i)))
+    (List.init n Fun.id)
+
+(* Every suite benchmark at scale 1, under every scheme and unroll factor
+   {1, 2, 4}: the compiled binary halts, and its memory equals the
+   uncompiled run's everywhere except checkpoint and spill slots. *)
+let test_suite_unrolled_compiles_preserve_memory () =
+  let run prog =
+    match Interp.run ~fuel:2_000_000 prog with
+    | st -> Some st
+    | exception Interp.Out_of_fuel -> None
+  in
+  let schemes = Turnpike.Scheme.[ baseline; turnstile; turnpike ] in
+  let failures =
+    List.concat_map
+      (fun (b : Suite.entry) ->
+        let prog = b.Suite.build ~scale:1 in
+        let name = Suite.qualified_name b in
+        let reference =
+          match run prog with
+          | Some st -> st
+          | None -> Alcotest.failf "%s: the uncompiled program does not halt" name
+        in
+        List.concat_map
+          (fun (s : Turnpike.Scheme.t) ->
+            List.filter_map
+              (fun factor ->
+                let opts =
+                  Turnpike.Scheme.compile_opts (Turnpike.Scheme.with_unroll s factor) ~sb_size:4
+                in
+                let cell = Printf.sprintf "%s/%s/unroll%d" name s.Turnpike.Scheme.name factor in
+                match run (Pass_pipeline.compile ~opts prog).Pass_pipeline.prog with
+                | None -> Some (cell ^ ": does not halt")
+                | Some st ->
+                  Interp.mem_diff
+                    ~only:(fun a -> not (Layout.is_ckpt_addr a || Layout.is_spill_addr a))
+                    reference st
+                  |> Option.map (Printf.sprintf "%s: memory differs first at 0x%x" cell))
+              [ 1; 2; 4 ])
+          schemes)
+      (Suite.all ())
+  in
+  Alcotest.(check (list string)) "every cell halts with the uncompiled memory" [] failures
+
 let test_regalloc_no_spill_when_room () =
   let prog = small_prog "libquan" in
   let r = Regalloc.run (Func.copy prog.Prog.func) in
@@ -593,6 +662,10 @@ let tests =
     ("regalloc eliminates virtuals", `Quick, test_regalloc_eliminates_virtuals);
     ("regalloc preserves semantics", `Quick, test_regalloc_preserves_semantics);
     ("regalloc spills under pressure", `Quick, test_regalloc_spills_under_pressure);
+    ("regalloc spilled read-modify-write", `Quick, test_regalloc_spilled_read_modify_write);
+    ( "suite x scheme x unroll compiles halt, memory preserved",
+      `Slow,
+      test_suite_unrolled_compiles_preserve_memory );
     ("regalloc no spurious spills", `Quick, test_regalloc_no_spill_when_room);
     ("store-aware RA fewer spill stores", `Quick, test_store_aware_reduces_spill_stores);
     ("regalloc location queries", `Quick, test_regalloc_location_queries);

@@ -272,8 +272,7 @@ let test_golden_fig14_15 () =
    every float written exactly with %h: the motivation comparison, the
    unroll ablation and the tiny design-space exploration (grid and
    Pareto rows). Every trace behind a pinned number must be complete, so
-   no pin records a run that did not finish; the one known exception, in
-   the unroll ablation, is pinned by name. *)
+   no pin records a run that did not finish. *)
 
 let pin_params = { Run.default_params with Run.scale = 1; fuel = 400_000 }
 
@@ -330,20 +329,8 @@ let test_pin_unroll () =
           r.E.by_factor)
       (E.unroll_ablation ~params:pin_params ())
   in
-  (* Once unrolled (factor 2 or 4), water-sp never halts under any scheme,
-     so its cells divide two fuel-limited windows. The list pins that
-     truncation so it stays visible; it empties when the unroll pass is
-     fixed. *)
-  let water_sp f =
-    List.map
-      (fun s -> Printf.sprintf "water-sp@splash3/%s/unroll%d" s f)
-      [ "baseline"; "turnstile"; "turnpike" ]
-  in
-  Alcotest.(check (list string))
-    "unroll: only the known water-sp traces truncate"
-    (water_sp 2 @ water_sp 4)
-    (incomplete
-    @@ List.concat_map
+  check_complete "unroll"
+    (List.concat_map
        (fun b ->
          List.concat_map
            (fun f ->
