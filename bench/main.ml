@@ -290,7 +290,7 @@ let run_unroll () =
   print_newline ();
   print_endline
     "(bigger loop bodies cut checkpoint density and color-pool pressure, so\n\
-     checkpoint-bound benchmarks (e.g. water-sp) improve dramatically, while\n\
+     checkpoint-bound benchmarks (e.g. water-sp under Turnstile) improve, while\n\
      store-bound ones keep their SB bottleneck and can even regress relative to\n\
      their faster unrolled baseline — the region-size effect separating these\n\
      kernels from SPEC-sized loops)"
