@@ -12,13 +12,11 @@
      dune exec bench/main.exe -- resilience --faults 100 --seed 3
      dune exec bench/main.exe -- resilience --ci 0.01   # stop at +/-1% SDC CI
      dune exec bench/main.exe -- --profile     # per-pass spans + pool utilization
-     dune exec bench/main.exe -- explore --grid tiny    # Pareto frontier
 
    Cost sections (opt-in, except analysis, which the run-all set includes):
      analysis   check levels Off/Final/PerPass/full re-check, +vuln tables
      replay     fault campaign from scratch vs snapshot fork vs fork with
                 forensics
-     telemetry  null vs enabled sink on the fig19 simulations and compile
      halving    successive halving vs exhaustive search on --grid
 
    Experiment grids — and the per-fault injection campaign — run on the
@@ -675,77 +673,6 @@ let run_analysis () =
     (List.fold_left (fun acc v -> acc +. v.An.Vuln.predicted_avf) 0. ranked)
 
 (* ------------------------------------------------------------------ *)
-(* explore: cross-layer design-space exploration (not part of the default
-   run-all set — a grid sweep is a deliberate choice, like --micro). *)
-
-let explore_budgets () =
-  (* --faults / --ci override the final (full-scale) rung's campaign. *)
-  let ca = !campaign in
-  match List.rev (Turnpike.Explore.budgets_for !params) with
-  | [] -> []
-  | last :: rev ->
-    let last =
-      {
-        last with
-        Turnpike.Explore.max_faults =
-          Option.value ~default:last.Turnpike.Explore.max_faults
-            ca.Turnpike.Campaign_args.faults;
-        ci_half_width =
-          Option.value ~default:last.Turnpike.Explore.ci_half_width
-            ca.Turnpike.Campaign_args.ci;
-      }
-    in
-    List.rev (last :: rev)
-
-let explore_spec () =
-  match Turnpike.Design_point.spec_of_string !explore_grid_name with
-  | Ok s -> s
-  | Error msg ->
-    Printf.eprintf "--grid: %s\n" msg;
-    exit 2
-
-let run_explore () =
-  let module X = Turnpike.Explore in
-  let module DP = Turnpike.Design_point in
-  Report.section "Design-space exploration: Pareto frontier by successive halving";
-  let report =
-    X.run ~budgets:(explore_budgets ())
-      ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params
-      ~spec:(explore_spec ()) ()
-  in
-  Printf.printf "grid %s: %d points over {%s}, seed %d\n" !explore_grid_name
-    report.X.grid_size
-    (String.concat ", " report.X.benches)
-    report.X.seed;
-  Printf.printf "evaluations per budget rung: %s\n"
-    (String.concat ", "
-       (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) report.X.evals_per_budget));
-  Printf.printf "full-scale evaluations: %d/%d (%.0f%% of the grid)\n"
-    report.X.full_scale_evals report.X.grid_size
-    (100.0 *. float_of_int report.X.full_scale_evals
-    /. float_of_int (max 1 report.X.grid_size));
-  let cols =
-    Report.[ { title = "design point"; width = 34 }; { title = "overhead"; width = 8 };
-             { title = "area um^2"; width = 10 }; { title = "pJ/kinstr"; width = 9 };
-             { title = "SDC rate"; width = 8 }; { title = "faults"; width = 6 } ]
-  in
-  Report.subsection "Pareto frontier (full-scale survivors)";
-  Report.print_header cols;
-  List.iter
-    (fun (r : X.point_result) ->
-      let o = r.X.objectives in
-      Report.print_row cols
-        [ DP.id r.X.point; Report.fmt_overhead o.X.overhead;
-          Printf.sprintf "%.1f" o.X.area_um2;
-          Printf.sprintf "%.2f" o.X.energy_pj_per_kinstr;
-          Printf.sprintf "%.4f" o.X.sdc_rate; string_of_int o.X.faults ])
-    report.X.frontier;
-  Printf.printf "frontier re-validation at full scale: %s\n"
-    (if report.X.validated then "ok (objectives reproduced exactly)" else "FAILED");
-  csv "explore_grid" Turnpike.Csv_export.explore_grid report;
-  csv "explore_pareto" Turnpike.Csv_export.explore_pareto report
-
-(* ------------------------------------------------------------------ *)
 (* replay: what snapshot/fork replay buys a fault campaign, and what
    forensic lifecycle tracing costs on top. Every suite benchmark runs the
    same seeded campaign from scratch (every fault replayed from step 0),
@@ -813,78 +740,6 @@ let run_replay () =
       (String.concat ", " (List.rev !skipped))
 
 (* ------------------------------------------------------------------ *)
-(* telemetry: what an enabled sink costs. Re-runs every simulation of the
-   fig19 grid (turnpike scheme) with the disabled [Telemetry.null] sink
-   — the default everywhere — and with a sink capturing the full
-   cycle-level timeline, then compiles every benchmark both ways. Aborts
-   unless the simulation statistics are identical under both sinks. *)
-
-let run_telemetry () =
-  Report.section "Telemetry: null vs enabled sink (fig19 simulations and compile, turnpike)";
-  let p = !params in
-  let benches = Suite.all () in
-  (* Compile + trace once per point (cached, not timed): both modes then
-     time exactly the same [Timing.simulate] calls. *)
-  let prepared =
-    List.concat_map
-      (fun b ->
-        List.map
-          (fun wcdl ->
-            let r = Run.compile_with { p with Run.wcdl } Scheme.turnpike b in
-            (Scheme.machine Scheme.turnpike ~wcdl ~sb_size:p.Run.sb_size, r.Run.trace))
-          E.wcdls)
-      benches
-  in
-  let simulate sink () =
-    List.map
-      (fun (machine, trace) ->
-        let tel = sink () in
-        let stats = Turnpike_arch.Timing.simulate ~tel machine trace in
-        (stats, Telemetry.length tel + Telemetry.dropped tel))
-      prepared
-  in
-  let sims =
-    ab [ ("null", simulate (fun () -> Telemetry.null));
-         ("enabled", simulate (fun () -> Telemetry.create ())) ]
-  in
-  let stats label = List.map fst (result_of label sims) in
-  if stats "null" <> stats "enabled" then
-    diverged "simulation statistics depend on the telemetry sink";
-  let compile sink () =
-    List.iter
-      (fun b ->
-        ignore
-          (PP.compile ~opts:PP.turnpike_opts ~tel:(sink ()) (b.Suite.build ~scale:p.Run.scale)))
-      benches
-  in
-  let compiles =
-    ab [ ("null", compile (fun () -> Telemetry.null));
-         ("enabled", compile (fun () -> Telemetry.create ())) ]
-  in
-  let cols =
-    Report.[ { title = "work"; width = 10 }; { title = "sink"; width = 8 };
-             { title = "wall s"; width = 8 }; { title = "vs null"; width = 8 };
-             { title = "events"; width = 9 } ]
-  in
-  Report.print_header cols;
-  let rows work modes events =
-    let _, base, _ = List.hd modes in
-    List.iter
-      (fun (label, s, r) ->
-        Report.print_row cols
-          [ work; label; Printf.sprintf "%.3f" s; ratio base s; events r ])
-      modes
-  in
-  rows "simulate" sims (fun r ->
-      string_of_int (List.fold_left (fun acc (_, n) -> acc + n) 0 r));
-  rows "compile" compiles (fun () -> "-");
-  Printf.printf
-    "%d simulation points (%d benchmarks x WCDL %s): Sim_stats identical under \
-     both sinks\n"
-    (List.length prepared) (List.length benches)
-    (String.concat "/" (List.map string_of_int E.wcdls))
-
-(* ------------------------------------------------------------------ *)
 (* halving: what successive halving buys the explorer. Explores --grid
    with the budget ladder (proxy rungs promote only the Pareto-best half
    toward full scale) and exhaustively (every point at the full-scale
@@ -892,14 +747,26 @@ let run_telemetry () =
    halving frontier re-validates at full scale and at most half the grid
    reached full scale. *)
 
+let explore_spec () =
+  match Turnpike.Design_point.spec_of_string !explore_grid_name with
+  | Ok s -> s
+  | Error msg ->
+    Printf.eprintf "--grid: %s\n" msg;
+    exit 2
+
 let run_halving () =
   let module X = Turnpike.Explore in
   Report.section "Explorer: successive halving vs exhaustive full-scale search";
   let spec = explore_spec () in
-  let budgets = explore_budgets () in
+  let ca = !campaign in
+  (* --faults / --ci set the full-scale rung's campaign. *)
+  let budgets =
+    X.budgets_for ?faults:ca.Turnpike.Campaign_args.faults
+      ?ci:ca.Turnpike.Campaign_args.ci !params
+  in
   let explore budgets () =
     Run.clear_cache ();
-    X.run ~budgets ~seed:(!campaign).Turnpike.Campaign_args.seed ~params:!params ~spec ()
+    X.run ~budgets ~seed:ca.Turnpike.Campaign_args.seed ~params:!params ~spec ()
   in
   let modes =
     ab [ ("halving", explore budgets);
@@ -941,14 +808,13 @@ let experiments =
     ("table1", run_table1); ("resilience", run_resilience);
     ("energy", run_energy); ("ablation50", run_ablation50);
     ("unroll", run_unroll); ("motivation", run_motivation);
-    ("analysis", run_analysis); ("explore", run_explore);
-    ("replay", run_replay); ("telemetry", run_telemetry);
+    ("analysis", run_analysis); ("replay", run_replay);
     ("halving", run_halving);
   ]
 
-(* A grid sweep and the cost sections are deliberate choices: keep them
-   out of the run-all set. *)
-let opt_in = [ "explore"; "replay"; "telemetry"; "halving" ]
+(* The cost sections are deliberate choices: keep them out of the run-all
+   set. *)
+let opt_in = [ "replay"; "halving" ]
 
 let int_arg flag v =
   match int_of_string_opt v with

@@ -949,7 +949,8 @@ let explore_cmd =
   let faults_arg =
     Arg.(value & opt (some int) None
          & info [ "n"; "faults" ] ~docv:"N"
-             ~doc:"Override the full-scale rung's campaign fault supply.")
+             ~doc:"Set the full-scale rung's campaign fault supply (default 64); \
+                   cheaper rungs never exceed it.")
   in
   let csv_arg =
     Arg.(value & opt (some string) None
@@ -959,17 +960,7 @@ let explore_cmd =
   let forensics_arg =
     Arg.(value & flag & info [ "forensics" ] ~doc:CA.doc_forensics)
   in
-  let static_proxy_arg =
-    Arg.(
-      value & flag
-      & info [ "static-proxy" ]
-          ~doc:
-            "Prepend a zero-cost rung that halves the grid on the static \
-             ACE/AVF estimate (predicted AVF + weighted code growth) before \
-             any simulation or campaign. The frontier is still re-validated \
-             at full scale.")
-  in
-  let run () grid scale seed ci faults csv_dir forensics static_proxy =
+  let run () grid scale seed ci faults csv_dir forensics =
     prepare_csv_dir csv_dir;
     match DP.spec_of_string grid with
     | Error msg ->
@@ -977,21 +968,9 @@ let explore_cmd =
       exit 1
     | Ok spec ->
       let params = { Turnpike.Run.default_params with Turnpike.Run.scale } in
-      let budgets =
-        (* --faults / --ci override the final (full-scale) rung's campaign. *)
-        match List.rev (X.budgets_for params) with
-        | [] -> []
-        | last :: rev ->
-          let last =
-            {
-              last with
-              X.max_faults = Option.value ~default:last.X.max_faults faults;
-              ci_half_width = Option.value ~default:last.X.ci_half_width ci;
-            }
-          in
-          List.rev (last :: rev)
-      in
-      let report = X.run ~budgets ~seed ~params ~forensics ~static_proxy ~spec () in
+      (* --faults / --ci set the final (full-scale) rung's campaign. *)
+      let budgets = X.budgets_for ?faults ?ci params in
+      let report = X.run ~budgets ~seed ~params ~forensics ~spec () in
       Printf.printf "grid %s: %d points over {%s}, seed %d\n" grid
         report.X.grid_size
         (String.concat ", " report.X.benches)
@@ -1042,7 +1021,7 @@ let explore_cmd =
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
       const run $ jobs_arg $ grid_arg $ scale_arg $ seed_arg $ ci_arg
-      $ faults_arg $ csv_arg $ forensics_arg $ static_proxy_arg)
+      $ faults_arg $ csv_arg $ forensics_arg)
 
 let () =
   let doc = "Turnpike: lightweight soft error resilience for in-order cores (MICRO'21 reproduction)" in

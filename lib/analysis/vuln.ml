@@ -82,12 +82,6 @@ let block_mass func depth label =
   (loop_weight ** float_of_int (depth label))
   *. float_of_int (Block.num_instrs b + 1)
 
-let weighted_size (ctx : Context.t) =
-  let loops = Context.loops ctx in
-  List.fold_left
-    (fun acc l -> acc +. block_mass ctx.Context.func (Loop_info.depth loops) l)
-    0.0 (Cfg.reverse_postorder (Context.cfg ctx))
-
 let compute (ctx : Context.t) =
   let func = ctx.Context.func in
   let rv = Context.regions ctx in

@@ -80,11 +80,6 @@ val compute : Context.t -> t
     pass); detection latency comes from {!Context.t.wcdl} (default 10
     when absent). Deterministic: depends only on the context. *)
 
-val weighted_size : Context.t -> float
-(** Loop-weighted position count of the function (the [total_mass] term
-    alone). Defined for any function, regions or not — the explorer's
-    static overhead proxy divides protected by baseline weighted size. *)
-
 val rank : table -> table
 (** Sort rows by (score desc, exposure desc, {!Rank.key_compare}).
     [compute] returns already-ranked tables; exposed for tests and for

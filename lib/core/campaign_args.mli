@@ -1,6 +1,6 @@
 (** One argument spec for every campaign-driving entry point.
 
-    [turnpike-cli inject], [bench resilience] and [bench explore] /
+    [turnpike-cli inject], [bench resilience], [bench halving] and
     [turnpike-cli explore] all take the same five knobs — seed, CI
     half-width, confidence, batch size and job count — and used to each
     re-declare flag names, defaults and docs. This module is the single

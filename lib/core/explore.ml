@@ -18,8 +18,6 @@ module Verifier = Turnpike_resilience.Verifier
 module Snapshot = Turnpike_resilience.Snapshot
 module Forensics = Turnpike_resilience.Forensics
 module Trace = Turnpike_ir.Trace
-module Pass_pipeline = Turnpike_compiler.Pass_pipeline
-module Analysis = Turnpike_analysis
 
 type objectives = {
   overhead : float;
@@ -40,30 +38,48 @@ type budget = {
   ci_half_width : float;
 }
 
-let budgets_for (params : Run.params) =
-  [
+(* Each rung is capped at the next rung's scale, fuel and fault supply,
+   so a cheaper rung never spends more than a costlier one: the fuel
+   floors would otherwise lift the mid rung above a small full rung. *)
+let budgets_for ?faults ?ci (params : Run.params) =
+  let below next b =
     {
-      label = "proxy";
-      scale = max 1 (params.Run.scale / 4);
-      fuel = max 20_000 (params.Run.fuel / 8);
-      max_faults = 8;
-      ci_half_width = 0.25;
-    };
-    {
-      label = "mid";
-      scale = max 1 (params.Run.scale / 2);
-      fuel = max 40_000 (params.Run.fuel / 4);
-      max_faults = 32;
-      ci_half_width = 0.10;
-    };
+      b with
+      scale = min b.scale next.scale;
+      fuel = min b.fuel next.fuel;
+      max_faults = min b.max_faults next.max_faults;
+    }
+  in
+  let full =
     {
       label = "full";
       scale = params.Run.scale;
       fuel = params.Run.fuel;
-      max_faults = 64;
-      ci_half_width = 0.05;
-    };
-  ]
+      max_faults = Option.value ~default:64 faults;
+      ci_half_width = Option.value ~default:0.05 ci;
+    }
+  in
+  let mid =
+    below full
+      {
+        label = "mid";
+        scale = max 1 (params.Run.scale / 2);
+        fuel = max 40_000 (params.Run.fuel / 4);
+        max_faults = 32;
+        ci_half_width = 0.10;
+      }
+  in
+  let proxy =
+    below mid
+      {
+        label = "proxy";
+        scale = max 1 (params.Run.scale / 4);
+        fuel = max 20_000 (params.Run.fuel / 8);
+        max_faults = 8;
+        ci_half_width = 0.25;
+      }
+  in
+  [ proxy; mid; full ]
 
 let default_benches () =
   List.filter_map
@@ -121,14 +137,34 @@ let run_params budget (p : Design_point.t) =
     baseline_sb = p.Design_point.sb_entries;
   }
 
+(* A point scored over a trace the fuel cut short would divide two
+   windows of unequal work, or count a campaign that never ran. *)
+let require_complete ~budget ~what (p : Design_point.t) b (t : Trace.t) =
+  if not t.Trace.complete then
+    failwith
+      (Printf.sprintf
+         "Explore: the %s trace of %s (budget %s, scale %d, fuel %d) is \
+          incomplete; design point %s cannot be scored"
+         what (Suite.qualified_name b) budget.label budget.scale budget.fuel
+         (Design_point.id p))
+
 (* Timing + energy of one (point, benchmark) pair: overhead against the
    unprotected baseline of the same core at the same SB depth. Raises
-   [Run.Degenerate_baseline] on a degenerate baseline. *)
+   [Run.Degenerate_baseline] on a degenerate baseline and [Failure] when
+   either trace is incomplete. *)
 let timing_of ~budget (p : Design_point.t) b =
+  let params = run_params budget p in
+  let rung = p.Design_point.rung in
   let overhead, r =
-    Run.normalized_on (run_params budget p) p.Design_point.rung
-      (Design_point.machine_model p) ~baseline:(Design_point.baseline_model p) b
+    Run.normalized_on params rung (Design_point.machine_model p)
+      ~baseline:(Design_point.baseline_model p) b
   in
+  require_complete ~budget ~what:rung.Scheme.name p b r.Run.trace;
+  require_complete ~budget ~what:"baseline" p b
+    (Run.compile_with
+       { params with Run.sb_size = params.Run.baseline_sb }
+       (Scheme.unprotected rung) b)
+      .Run.trace;
   let stats = r.Run.stats in
   ( overhead,
     1000.0 *. dynamic_energy_pj p stats
@@ -169,42 +205,44 @@ let key_point k : Design_point.t =
 (* Campaigns run on shortened traces (quarter scale of the budget, as the
    resilience experiments do): each fault forks the recovery executor
    from the nearest snapshot, and the verifier's sequential stopping rule
-   keeps the consumed fault count deterministic at any job count. *)
-let run_campaign ~budget ~seed ~forensics key b =
+   keeps the consumed fault count deterministic at any job count.
+   [point] is the first grid point of the key, named when the campaign
+   trace is incomplete. *)
+let run_campaign ~budget ~seed ~forensics ~point key b =
   let p = key_point key in
   let bp = run_params budget p in
   let bp = { bp with Run.scale = max 1 (bp.Run.scale / 4) } in
   let c = Run.compile_with bp key.rung b in
-  if not c.Run.trace.Trace.complete then (0, 0, [])
-  else begin
-    let config = Design_point.recovery_config p ~fuel:Recovery.default_config.Recovery.fuel in
-    let plan = Snapshot.record ~config c.Run.compiled in
-    let faults = Injector.campaign ~seed ~count:budget.max_faults c.Run.trace in
-    let stopping =
-      {
-        Verifier.half_width = budget.ci_half_width;
-        confidence = 0.95;
-        batch = max 1 (min 8 budget.max_faults);
-        min_faults = min budget.max_faults 16;
-      }
-    in
-    (* With forensics, the same CI loop runs with one lifecycle sink per
-       fault: sinks never influence outcomes, so the (sdc, total) pair —
-       and therefore promotion and validation — is identical either way. *)
-    let ci, records =
-      if forensics then
-        let records, ci =
-          Forensics.campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
-            ~compiled:c.Run.compiled faults
-        in
-        (ci, records)
-      else
-        ( Verifier.run_campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
-            ~compiled:c.Run.compiled faults,
-          [] )
-    in
-    (ci.Verifier.report.Verifier.sdc, ci.Verifier.report.Verifier.total, records)
-  end
+  require_complete
+    ~budget:{ budget with scale = bp.Run.scale }
+    ~what:(key.rung.Scheme.name ^ " campaign") point b c.Run.trace;
+  let config = Design_point.recovery_config p ~fuel:Recovery.default_config.Recovery.fuel in
+  let plan = Snapshot.record ~config c.Run.compiled in
+  let faults = Injector.campaign ~seed ~count:budget.max_faults c.Run.trace in
+  let stopping =
+    {
+      Verifier.half_width = budget.ci_half_width;
+      confidence = 0.95;
+      batch = max 1 (min 8 budget.max_faults);
+      min_faults = min budget.max_faults 16;
+    }
+  in
+  (* With forensics, the same CI loop runs with one lifecycle sink per
+     fault: sinks never influence outcomes, so the (sdc, total) pair —
+     and therefore promotion and validation — is identical either way. *)
+  let ci, records =
+    if forensics then
+      let records, ci =
+        Forensics.campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
+          ~compiled:c.Run.compiled faults
+      in
+      (ci, records)
+    else
+      ( Verifier.run_campaign_ci ~config ~plan ~stopping ~golden:c.Run.final
+          ~compiled:c.Run.compiled faults,
+        [] )
+  in
+  (ci.Verifier.report.Verifier.sdc, ci.Verifier.report.Verifier.total, records)
 
 (* Score every live point under one budget. Two passes: timing on the
    domain pool, then one campaign per distinct key (first-appearance
@@ -218,7 +256,7 @@ let score_batch ?(forensics = false) ~benches ~budget ~seed points =
     List.fold_left
       (fun acc p ->
         let k = campaign_key p in
-        if List.mem k acc then acc else k :: acc)
+        if List.mem_assoc k acc then acc else (k, p) :: acc)
       [] points
     |> List.rev
   in
@@ -226,13 +264,13 @@ let score_batch ?(forensics = false) ~benches ~budget ~seed points =
     if budget.max_faults <= 0 then []
     else
       List.map
-        (fun k ->
+        (fun (k, point) ->
           let by =
             if not k.rung.Scheme.resilient then (0, 0, [])
             else
               List.fold_left
                 (fun (sdc, total, records) b ->
-                  let s, t, r = run_campaign ~budget ~seed ~forensics k b in
+                  let s, t, r = run_campaign ~budget ~seed ~forensics ~point k b in
                   (sdc + s, total + t, records @ r))
                 (0, 0, []) benches
           in
@@ -278,90 +316,6 @@ let score ~benches ~budget ~seed p =
   match score_batch ~benches ~budget ~seed [ p ] with
   | [ (_, o, _) ] -> o
   | _ -> assert false
-
-(* ------------------------------------------------------------------ *)
-(* Static rung 0: the zero-campaign proxy. Points are scored by the
-   static ACE/AVF analysis alone — compile the rung, no trace, no
-   machine simulation, no fault — so a grid can be halved before the
-   first simulated cycle. The static analysis observes only the binary
-   and the detection latency, so points sharing (rung, SB depth, WCDL)
-   share one evaluation, exactly as campaigns share keys. Like the
-   campaign, the proxy is blind to the core's timing model; the
-   simulated rungs that follow re-separate those points. *)
-
-type static_key = { sk_rung : Scheme.t; sk_sb : int; sk_wcdl : int }
-
-let static_key (p : Design_point.t) =
-  {
-    sk_rung = p.Design_point.rung;
-    sk_sb = p.Design_point.sb_entries;
-    sk_wcdl = Design_point.wcdl p;
-  }
-
-(* (static overhead proxy, predicted AVF) of one key: loop-weighted code
-   growth against the unprotected baseline (geomean over benches) and
-   the mean predicted AVF of the static vulnerability tables. *)
-let static_score_key ~benches ~scale k =
-  let per_bench =
-    List.map
-      (fun (b : Suite.entry) ->
-        let compiled =
-          Pass_pipeline.compile
-            ~opts:(Scheme.compile_opts k.sk_rung ~sb_size:k.sk_sb)
-            (b.Suite.build ~scale)
-        in
-        let base =
-          Pass_pipeline.compile
-            ~opts:(Scheme.compile_opts Scheme.baseline ~sb_size:k.sk_sb)
-            (b.Suite.build ~scale)
-        in
-        let ctx =
-          Analysis.Context.with_machine ~wcdl:k.sk_wcdl
-            (Pass_pipeline.analysis_context compiled)
-        in
-        let v = Analysis.Vuln.compute ctx in
-        let ws = Analysis.Vuln.weighted_size ctx in
-        let wsb =
-          Analysis.Vuln.weighted_size (Pass_pipeline.analysis_context base)
-        in
-        ( (if wsb > 0.0 then ws /. wsb else 1.0),
-          v.Analysis.Vuln.predicted_avf ))
-      benches
-  in
-  ( Report.geomean (List.map fst per_bench),
-    Report.arith_mean (List.map snd per_bench) )
-
-(* Score every point statically (one evaluation per distinct key, fanned
-   over the pool in key order). Objectives mirror the simulated ones
-   axis-for-axis so [promote] applies unchanged: overhead <- weighted
-   code growth, sdc_rate <- predicted AVF, area is exact (it never
-   needed simulation), energy is unknowable statically and scored 0 for
-   every point (a tie contributes nothing to dominance). *)
-let static_score_batch ~benches ~scale points =
-  let keys =
-    List.fold_left
-      (fun acc p ->
-        let k = static_key p in
-        if List.mem k acc then acc else k :: acc)
-      [] points
-    |> List.rev
-  in
-  let scores =
-    Turnpike_parallel.map_list (fun k -> (k, static_score_key ~benches ~scale k)) keys
-  in
-  List.map
-    (fun p ->
-      let overhead, avf = List.assoc (static_key p) scores in
-      ( p,
-        {
-          overhead;
-          area_um2 = area_um2 p;
-          energy_pj_per_kinstr = 0.0;
-          sdc_rate = avf;
-          faults = 0;
-        },
-        None ))
-    points
 
 (* ------------------------------------------------------------------ *)
 (* Successive halving. *)
@@ -412,8 +366,7 @@ type report = {
 }
 
 let run ?benches ?budgets ?(seed = 7) ?(params = Run.default_params)
-    ?(forensics = false) ?(static_proxy = false) ~(spec : Design_point.spec)
-    () =
+    ?(forensics = false) ~(spec : Design_point.spec) () =
   let benches = match benches with Some bs -> bs | None -> default_benches () in
   let budgets = match budgets with Some bs -> bs | None -> budgets_for params in
   if budgets = [] then invalid_arg "Explore.run: empty budget ladder";
@@ -423,19 +376,6 @@ let run ?benches ?budgets ?(seed = 7) ?(params = Run.default_params)
   let state = Hashtbl.create (List.length points) in
   let evals = ref [] in
   let alive = ref points in
-  (* Rung 0: halve the grid on the static estimate alone, before any
-     simulation. Survivors enter the simulated ladder; pruned points
-     keep their static objectives (budgets_survived = 0). *)
-  if static_proxy && List.length points > 1 then begin
-    let scale = (List.hd budgets).scale in
-    let scored = static_score_batch ~benches ~scale points in
-    evals := ("static", List.length scored) :: !evals;
-    List.iter
-      (fun (p, o, f) ->
-        Hashtbl.replace state (Design_point.id p) (o, 0, "static", f))
-      scored;
-    alive := promote scored
-  end;
   List.iteri
     (fun bi budget ->
       let scored = score_batch ~forensics ~benches ~budget ~seed !alive in

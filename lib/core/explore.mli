@@ -55,11 +55,15 @@ type budget = {
   ci_half_width : float;  (** Wilson-interval stopping target *)
 }
 
-val budgets_for : Run.params -> budget list
+val budgets_for : ?faults:int -> ?ci:float -> Run.params -> budget list
 (** The default three-rung ladder derived from a full-scale operating
-    point: a proxy rung at quarter scale with an eighth of the fuel and a
-    token 8-fault campaign at ±0.25, a mid rung at half scale, and the
-    full-scale rung with CI-stopped campaigns at ±0.05. *)
+    point: a proxy rung at quarter scale with an eighth of the fuel
+    (at least 20k) and a token 8-fault campaign at ±0.25, a mid rung at
+    half scale with a quarter of the fuel (at least 40k) and 32 faults at
+    ±0.10, and the full-scale rung with up to [faults] (default 64) faults
+    CI-stopped at ±[ci] (default 0.05). Each rung is capped at the next
+    rung's scale, fuel and fault supply, so these never decrease along
+    the ladder. *)
 
 (** {1 Scoring} *)
 
@@ -82,14 +86,19 @@ val score :
     to the batched evaluation {!run} performs — re-scoring a point
     reproduces its objectives bit-for-bit.
     @raise Run.Degenerate_baseline if a benchmark's baseline is degenerate
-    (see {!Run.overhead}). *)
+    (see {!Run.overhead}).
+    @raise Failure naming the benchmark and the point if a campaign trace,
+    the scheme's trace or its baseline's trace is incomplete at the
+    budget's fuel. *)
 
 (** {1 The explorer} *)
 
 type point_result = {
   point : Design_point.t;
   objectives : objectives;  (** from the last budget this point reached *)
-  budgets_survived : int;  (** how many budget rungs evaluated this point *)
+  budgets_survived : int;
+      (** how many budget rungs evaluated this point (at least 1: the first
+          rung scores the whole grid) *)
   budget : string;  (** label of the last budget this point reached *)
   full_scale : bool;  (** reached the final budget rung *)
   on_frontier : bool;  (** member of the full-scale Pareto frontier *)
@@ -120,7 +129,6 @@ val run :
   ?seed:int ->
   ?params:Run.params ->
   ?forensics:bool ->
-  ?static_proxy:bool ->
   spec:Design_point.spec ->
   unit ->
   report
@@ -134,18 +142,8 @@ val run :
     per-fault lifecycles and each {!point_result} carries the attribution
     rollup; sinks never influence outcomes, so scores, promotion and
     validation are unchanged.
-
-    With [static_proxy] (default false) a zero-cost rung labelled
-    ["static"] runs first: every point is scored by the static ACE/AVF
-    analysis ({!Turnpike_analysis.Vuln}) — compile only, no trace,
-    simulation or fault — with predicted AVF standing in for the SDC
-    rate and loop-weighted code growth for the overhead, and the grid is
-    halved before the first simulated cycle. One evaluation is shared
-    per (rung, SB depth, WCDL), mirroring campaign-key sharing; pruned
-    points report [budgets_survived = 0] and budget ["static"].
-    Frontier re-validation is unchanged — it re-runs the full-scale
-    simulated evaluation, so the proxy can only affect which points
-    reach it, never the recorded objectives.
     @raise Invalid_argument when [budgets] is empty.
     @raise Run.Degenerate_baseline if a benchmark's baseline is degenerate
-    (see {!Run.overhead}). *)
+    (see {!Run.overhead}).
+    @raise Failure if a trace behind any point is incomplete (see
+    {!score}). *)

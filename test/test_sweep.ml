@@ -221,6 +221,51 @@ let test_explore_degenerate_baseline () =
     | (_ : Explore.report) -> false
     | exception Run.Degenerate_baseline _ -> true)
 
+let test_explore_truncated_trace () =
+  (* At fuel 3000 the traces behind the tiny grid stop short of the
+     program's end. Scoring them would divide two fuel-limited windows and
+     count a campaign that never ran, so the explorer must refuse. *)
+  let params = { Run.default_params with Run.scale = 2; fuel = 3000 } in
+  match Explore.run ~params ~spec:DP.tiny_spec () with
+  | (_ : Explore.report) -> Alcotest.fail "explorer scored truncated traces"
+  | exception Failure msg ->
+    let mentions sub =
+      let n = String.length sub in
+      let rec go i =
+        i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+      in
+      go 0
+    in
+    check "names a benchmark" true
+      (List.exists
+         (fun b -> mentions (Turnpike_workloads.Suite.qualified_name b))
+         (Explore.default_benches ()));
+    check "names a design point" true
+      (List.exists (fun p -> mentions (DP.id p)) (DP.grid DP.tiny_spec));
+    check "says the trace is incomplete" true (mentions "incomplete")
+
+let test_explore_ladder_monotone () =
+  (* A cheaper rung never spends more than the next one: the fuel floors
+     of the proxy and mid rungs must not lift them above a small full
+     rung. *)
+  List.iter
+    (fun (scale, fuel) ->
+      let rec go = function
+        | (a : Explore.budget) :: (b :: _ as rest) ->
+          let where =
+            Printf.sprintf "(%d, %d) %s -> %s" scale fuel a.Explore.label
+              b.Explore.label
+          in
+          check ("scale " ^ where) true (a.Explore.scale <= b.Explore.scale);
+          check ("fuel " ^ where) true (a.Explore.fuel <= b.Explore.fuel);
+          check ("faults " ^ where) true
+            (a.Explore.max_faults <= b.Explore.max_faults);
+          go rest
+        | _ -> ()
+      in
+      go (Explore.budgets_for { Run.default_params with Run.scale; fuel }))
+    [ (1, 20_000); (2, 100_000); (8, 400_000) ]
+
 (* ------------------------------------------------------------------ *)
 (* Golden CSVs: fig19/fig20/fig14_15 stay byte-identical to the capture
    committed under test/golden (scale 1, fuel 20000, jobs 1). *)
@@ -393,6 +438,8 @@ let tests =
       test_explore_score_matches_batch;
     Alcotest.test_case "explore-degenerate-baseline" `Quick
       test_explore_degenerate_baseline;
+    Alcotest.test_case "explore-truncated-trace" `Quick test_explore_truncated_trace;
+    Alcotest.test_case "explore-ladder-monotone" `Quick test_explore_ladder_monotone;
     Alcotest.test_case "golden-fig19" `Slow test_golden_fig19;
     Alcotest.test_case "golden-fig20" `Slow test_golden_fig20;
     Alcotest.test_case "golden-fig14-15" `Slow test_golden_fig14_15;

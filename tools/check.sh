@@ -181,36 +181,28 @@ echo "== explore smoke: tiny design grid at --jobs 1 vs --jobs 4 =="
 # The design-space explorer (successive halving + Pareto frontier) must
 # emit byte-identical CSV artifacts and stdout at any job count, and its
 # frontier must re-validate at full scale (non-zero exit otherwise).
-mkdir -p "$tmp/explore1" "$tmp/explore4"
-dune exec --no-build bench/main.exe -- explore --grid tiny --scale 1 \
-  --fuel 20000 --jobs 1 --csv "$tmp/explore1" > "$tmp/explore_j1.txt"
-dune exec --no-build bench/main.exe -- explore --grid tiny --scale 1 \
-  --fuel 20000 --jobs 4 --csv "$tmp/explore4" > "$tmp/explore_j4.txt"
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 1 --csv "$tmp/explore1" > "$tmp/explore_j1.txt"
+dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
+  --jobs 4 --csv "$tmp/explore4" > "$tmp/explore_j4.txt"
 diff -r "$tmp/explore1" "$tmp/explore4"
 diff <(grep -v '^\[csv written' "$tmp/explore_j1.txt") \
      <(grep -v '^\[csv written' "$tmp/explore_j4.txt")
 grep -q 're-validation at full scale: ok' "$tmp/explore_j1.txt"
 test -s "$tmp/explore1/explore_grid.csv"
 test -s "$tmp/explore1/explore_pareto.csv"
-# The CLI front end drives the same engine.
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --jobs 2 > "$tmp/explore_cli.txt"
-grep -q 'Pareto frontier' "$tmp/explore_cli.txt"
 
 echo "== bench sections: cost sections at tiny size =="
 # Each section times its modes against each other and exits 1 when they
 # disagree: per-pass vs full re-check diagnostics and vuln tables across
 # check modes (analysis), scratch vs fork vs fork+forensics campaign
-# reports (replay), Sim_stats under null vs enabled sinks (telemetry),
-# frontier re-validation and <= 50% promotion (halving).
+# reports (replay), frontier re-validation and <= 50% promotion
+# (halving).
 dune exec --no-build bench/main.exe -- analysis --scale 1 > "$tmp/sec_analysis.txt"
 grep -q 'per-pass = full-recheck' "$tmp/sec_analysis.txt"
 dune exec --no-build bench/main.exe -- replay --scale 1 --faults 4 \
   > "$tmp/sec_replay.txt"
 grep -q 'reports identical in every mode' "$tmp/sec_replay.txt"
-dune exec --no-build bench/main.exe -- telemetry --scale 1 --fuel 20000 \
-  > "$tmp/sec_telemetry.txt"
-grep -q 'Sim_stats identical under both sinks' "$tmp/sec_telemetry.txt"
 dune exec --no-build bench/main.exe -- halving --grid tiny --scale 1 \
   --fuel 20000 > "$tmp/sec_halving.txt"
 grep -q 'frontier re-validated at full scale' "$tmp/sec_halving.txt"
@@ -260,19 +252,6 @@ test -s "$tmp/vulncsv/vuln_by_site.csv"
 dune exec --no-build bin/turnpike_cli.exe -- report -b mcf --scale 2 -n 40 \
   --seed 11 --compare-static > "$tmp/vuln_compare.txt"
 grep -q 'static-vs-dynamic rank agreement' "$tmp/vuln_compare.txt"
-
-echo "== explore smoke: static rung prunes before any simulation =="
-# With --static-proxy the zero-campaign static rung must score the whole
-# grid, halve it before the first simulated cycle, and leave the final
-# frontier re-validating bit-exact at full scale — all byte-identical at
-# any job count.
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --static-proxy --jobs 1 > "$tmp/explore_static_j1.txt"
-dune exec --no-build bin/turnpike_cli.exe -- explore --grid tiny --scale 1 \
-  --static-proxy --jobs 4 > "$tmp/explore_static_j4.txt"
-diff "$tmp/explore_static_j1.txt" "$tmp/explore_static_j4.txt"
-grep -q 'static=4' "$tmp/explore_static_j1.txt"
-grep -q 're-validation at full scale: ok' "$tmp/explore_static_j1.txt"
 
 echo "== .tk smoke: compile + campaign byte-identical at --jobs 1 vs --jobs 4 =="
 # The .tk frontend feeds the same deterministic machinery: the compile
